@@ -19,16 +19,19 @@
 // AVX2, see dsp/simd.h), the absolute W=8 floor on AVX-512. Floors are
 // end-to-end pipeline speedups, Amdahl-limited by the per-lane scalar
 // beat tail; per-kernel lane wins are measured in bench_micro_kernels.
-// A separate instrumented pass (SessionBatchBase::enable_profiling)
-// measures the front-vs-tail wall-time split so the Amdahl denominator
-// is reported, not inferred — the gated speedups come from the
-// uninstrumented runs.
+// The front-vs-tail wall-time split is reported, not inferred: in a pass
+// of its own after the gated runs, the three lockstep W=8 fronts are
+// timed standalone on each chunk and the tail is the W=8 push time minus
+// theirs (the split the perfbench ladder takes).
 #include "core/batch.h"
 #include "core/beat_serializer.h"
 #include "core/fleet.h"
 #include "core/pipeline.h"
+#include "core/stream.h"
+#include "dsp/backend.h"
 #include "dsp/denormal.h"
 #include "dsp/simd.h"
+#include "ecg/pan_tompkins.h"
 #include "report/table.h"
 #include "synth/recording.h"
 
@@ -66,7 +69,6 @@ struct Leg {
   double wall_s = 0.0;
   std::uint64_t samples = 0;
   std::uint64_t beats = 0;
-  std::uint64_t front_ns = 0, tail_ns = 0;  ///< instrumented runs only
   std::vector<std::vector<unsigned char>> streams;  ///< per-session bytes
   [[nodiscard]] double sps() const {
     return wall_s > 0.0 ? static_cast<double>(samples) / wall_s : 0.0;
@@ -104,11 +106,8 @@ Leg run_scalar(const std::vector<synth::Recording>& workload, std::size_t sessio
 }
 
 // (b)/(c) batched: sessions grouped into lockstep SessionBatch<W> lanes.
-// With `profile`, each batch accumulates its front/tail wall-time split
-// (never combined with a gated throughput run — the clock reads perturb
-// the numbers).
 Leg run_batched(const std::vector<synth::Recording>& workload, std::size_t sessions,
-                std::size_t width, bool profile = false) {
+                std::size_t width) {
   const std::size_t groups = sessions / width;
   std::vector<std::unique_ptr<core::SessionBatchBase>> batches;
   std::vector<std::vector<std::uint8_t>> blobs(width);
@@ -120,7 +119,6 @@ Leg run_batched(const std::vector<synth::Recording>& workload, std::size_t sessi
       blobs[l] = fresh.checkpoint();
     }
     b->pack(blobs);
-    b->enable_profiling(profile);
     batches.push_back(std::move(b));
   }
   std::vector<std::vector<BeatRecord>> beats(sessions);
@@ -147,16 +145,83 @@ Leg run_batched(const std::vector<synth::Recording>& workload, std::size_t sessi
   const auto t1 = std::chrono::steady_clock::now();
   leg.wall_s = std::chrono::duration<double>(t1 - t0).count();
 
-  for (const auto& b : batches) {
-    leg.front_ns += b->front_ns();
-    leg.tail_ns += b->tail_ns();
-  }
   leg.streams.resize(sessions);
   for (std::size_t s = 0; s < sessions; ++s) {
     leg.beats += beats[s].size();
     for (const BeatRecord& b : beats[s]) serialize_beat(b, leg.streams[s]);
   }
   return leg;
+}
+
+// Front-vs-tail split of (c), the way the perfbench ladder takes it:
+// the three lockstep fronts a SessionBatch<8> push runs (ICG
+// conditioner, ECG cleaner, QRS feature chain) are timed standalone on
+// each chunk, and the tail is the push time minus theirs. Both are
+// clocked chunk by chunk in one pass, so a host slowdown lands in both
+// alike. Chunks are packed into lane vectors for the standalone fronts
+// untimed, so SoA staging counts toward the tail, as it does in push().
+struct Split {
+  double push_s = 0.0, front_s = 0.0;
+  std::uint64_t beats = 0;
+};
+
+Split run_split_w8(const std::vector<synth::Recording>& workload, std::size_t sessions) {
+  constexpr std::size_t W = 8;
+  using B = dsp::BatchBackend<W>;
+  using Clock = std::chrono::steady_clock;
+  const double fs = workload[0].fs;
+  const core::PipelineConfig cfg{};
+  const std::size_t n = workload[0].ecg_mv.size();
+  std::vector<B::sample_t> e, z, icg, ecg, feat;
+  std::vector<std::uint32_t> icg_cum, ecg_cum, feat_cum;
+  std::array<std::vector<BeatRecord>, W> beats;
+  std::array<const double*, W> ecg_ptrs{}, z_ptrs{};
+  Split split;
+  for (std::size_t g = 0; g < sessions / W; ++g) {
+    core::SessionBatch<W> batch(fs, cfg);
+    core::BasicIcgConditionerStage<B> icg_stage(fs, cfg.icg_filter);
+    core::BasicEcgCleanerStage<B> ecg_stage(fs, cfg.ecg_filter);
+    ecg::BasicOnlinePanTompkins<B> qrs(fs, cfg.qrs);
+    for (std::size_t i = 0; i < n; i += kChunk) {
+      const std::size_t len = std::min(kChunk, n - i);
+      e.clear();
+      z.clear();
+      for (std::size_t l = 0; l < W; ++l) {
+        const synth::Recording& rec = workload[(g * W + l) % workload.size()];
+        ecg_ptrs[l] = rec.ecg_mv.data() + i;
+        z_ptrs[l] = rec.z_ohm.data() + i;
+      }
+      for (std::size_t k = 0; k < len; ++k) {
+        B::sample_t ev{}, zv{};
+        for (std::size_t l = 0; l < W; ++l) {
+          ev.set_lane(l, ecg_ptrs[l][k]);
+          zv.set_lane(l, z_ptrs[l][k]);
+        }
+        e.push_back(ev);
+        z.push_back(zv);
+      }
+      const auto t0 = Clock::now();
+      icg.clear();
+      icg_cum.clear();
+      icg_stage.process_chunk(z, icg, icg_cum);
+      ecg.clear();
+      ecg_cum.clear();
+      ecg_stage.process_chunk(e, ecg, ecg_cum);
+      feat.clear();
+      feat_cum.clear();
+      qrs.front_chunk(ecg, feat, feat_cum);
+      const auto t1 = Clock::now();
+      batch.push(ecg_ptrs.data(), z_ptrs.data(), len, beats.data());
+      const auto t2 = Clock::now();
+      split.front_s += std::chrono::duration<double>(t1 - t0).count();
+      split.push_s += std::chrono::duration<double>(t2 - t1).count();
+    }
+    for (auto& b : beats) {
+      split.beats += b.size();
+      b.clear();
+    }
+  }
+  return split;
 }
 
 // Fleet leg: SessionManager at a fixed worker count, scalar vs batched.
@@ -268,21 +333,19 @@ int main() {
                     ? "identity: batched fleet byte-identical to scalar fleet\n"
                     : "FAIL: batched fleet output differs from scalar fleet\n");
 
-  // Instrumented pass: front-vs-tail wall-time split of the W=8 batched
-  // leg (separate run so the clock reads never land in the gated
-  // numbers above).
-  const Leg prof8 = run_batched(workload, sessions, 8, /*profile=*/true);
-  const double front_s = static_cast<double>(prof8.front_ns) * 1e-9;
-  const double tail_s = static_cast<double>(prof8.tail_ns) * 1e-9;
+  // Front-vs-tail split of the W=8 engine: tail = push - fronts.
+  const Split split = run_split_w8(workload, sessions);
+  const double front_s = split.front_s;
+  const double tail_s = std::max(0.0, split.push_s - front_s);
   const double phase_s = front_s + tail_s;
   const double front_fraction = phase_s > 0.0 ? front_s / phase_s : 0.0;
   const double tail_us_per_beat =
-      prof8.beats > 0 ? tail_s * 1e6 / static_cast<double>(prof8.beats) : 0.0;
+      split.beats > 0 ? tail_s * 1e6 / static_cast<double>(split.beats) : 0.0;
   report::Table ptable({"phase (W=8)", "wall s", "fraction"});
   ptable.row().add(std::string("lockstep front")).add(front_s, 3).add(front_fraction, 3);
   ptable.row().add("per-lane tail").add(tail_s, 3).add(1.0 - front_fraction, 3);
   ptable.print(std::cout);
-  std::cout << "tail cost: " << tail_us_per_beat << " us/beat over " << prof8.beats
+  std::cout << "tail cost: " << tail_us_per_beat << " us/beat over " << split.beats
             << " beats\n";
 
   // Speedup floors are an ISA property. W=4 is one AVX2 register, so any
@@ -339,7 +402,7 @@ int main() {
        << ",\n  \"profile\": {\"width\": 8, \"front_s\": " << front_s
        << ", \"tail_s\": " << tail_s << ", \"front_fraction\": " << front_fraction
        << ", \"tail_fraction\": " << 1.0 - front_fraction
-       << ", \"beats\": " << prof8.beats
+       << ", \"beats\": " << split.beats
        << ", \"tail_us_per_beat\": " << tail_us_per_beat << "}"
        << ",\n  \"fleet\": {\"sessions\": " << fleet_sessions
        << ", \"workers\": " << fleet_workers

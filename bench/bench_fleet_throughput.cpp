@@ -1,8 +1,8 @@
 // Fleet throughput bench: >= 1000 concurrent StreamingBeatPipeline
 // sessions on one host, swept across worker-pool sizes.
 //
-// Reports, per worker count: aggregate samples/sec, p50/p99 per-push
-// latency, and beats emitted; verifies that the 1-worker and 8-worker
+// Reports, per worker count: aggregate samples/sec and beats emitted;
+// verifies that the 1-worker and 8-worker
 // fleets produce byte-identical per-session beat streams (the sharding
 // determinism contract); and writes everything to BENCH_fleet.json for
 // the CI bench-regression gate.
@@ -46,8 +46,6 @@ struct FleetRunResult {
   double wall_s = 0.0;
   std::uint64_t samples = 0;
   std::uint64_t beats = 0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
   std::vector<std::vector<unsigned char>> streams;  ///< per-session bytes
   [[nodiscard]] double samples_per_sec() const {
     return wall_s > 0.0 ? static_cast<double>(samples) / wall_s : 0.0;
@@ -59,10 +57,7 @@ FleetRunResult run_fleet(const std::vector<synth::Recording>& workload,
   FleetConfig cfg;
   cfg.workers = workers;
   cfg.max_chunk = kChunk;
-  // Per-worker latency log sized for every push in the run.
   const std::size_t n = workload[0].ecg_mv.size();
-  const std::size_t pushes_total = (n + kChunk - 1) / kChunk * sessions;
-  cfg.latency_log_capacity = pushes_total;
 
   SessionManager fleet(workload[0].fs, cfg);
   std::vector<SessionHandle> handles;
@@ -89,15 +84,6 @@ FleetRunResult run_fleet(const std::vector<synth::Recording>& workload,
   r.wall_s = std::chrono::duration<double>(t1 - t0).count();
   r.samples = fleet.total_samples();
   r.beats = fleet.total_beats();
-
-  std::vector<double> lat;
-  for (const auto& ws : fleet.worker_stats())
-    lat.insert(lat.end(), ws.push_latency_us.begin(), ws.push_latency_us.end());
-  if (!lat.empty()) {
-    std::sort(lat.begin(), lat.end());
-    r.p50_us = lat[lat.size() / 2];
-    r.p99_us = lat[std::min(lat.size() - 1, lat.size() * 99 / 100)];
-  }
 
   r.streams.resize(sessions);
   for (const FleetBeat& fb : sink) {
@@ -130,8 +116,7 @@ int main() {
 
   const std::size_t worker_counts[] = {1, 2, 4, 8};
   std::vector<FleetRunResult> results;
-  report::Table table({"workers", "wall s", "samples/s", "p50 us/push", "p99 us/push",
-                       "beats"});
+  report::Table table({"workers", "wall s", "samples/s", "beats"});
   for (const std::size_t w : worker_counts) {
     results.push_back(run_fleet(workload, sessions, w));
     const FleetRunResult& r = results.back();
@@ -139,8 +124,6 @@ int main() {
         .add(static_cast<double>(w), 0)
         .add(r.wall_s, 2)
         .add(r.samples_per_sec(), 0)
-        .add(r.p50_us, 1)
-        .add(r.p99_us, 1)
         .add(static_cast<double>(r.beats), 0);
   }
   table.print(std::cout);
@@ -174,8 +157,8 @@ int main() {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const FleetRunResult& r = results[i];
     json << "    {\"workers\": " << worker_counts[i] << ", \"wall_s\": " << r.wall_s
-         << ", \"samples_per_sec\": " << r.samples_per_sec() << ", \"p50_us\": " << r.p50_us
-         << ", \"p99_us\": " << r.p99_us << ", \"beats\": " << r.beats << "}"
+         << ", \"samples_per_sec\": " << r.samples_per_sec() << ", \"beats\": " << r.beats
+         << "}"
          << (i + 1 < results.size() ? "," : "") << "\n";
   }
   const bool pass = identical && (scaling_ok || !scaling_enforced);

@@ -9,6 +9,8 @@ namespace icgkit::core {
 // matching extern templates). W=4 is one AVX2 register per LaneVec, W=8
 // is one AVX-512 register or two AVX2 ops — both lower to SSE2/NEON
 // pairs on narrower targets.
+template class BasicStreamingBeatPipeline<dsp::BatchBackend<4>>;
+template class BasicStreamingBeatPipeline<dsp::BatchBackend<8>>;
 template class SessionBatch<4>;
 template class SessionBatch<8>;
 

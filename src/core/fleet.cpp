@@ -48,9 +48,7 @@ SessionManager::Session::Session(std::uint32_t id_, std::uint32_t worker_,
 }
 
 SessionManager::Worker::Worker(const FleetConfig& cfg)
-    : in(cfg.submit_queue_capacity), out(cfg.result_queue_capacity) {
-  push_latency_us.reserve(cfg.latency_log_capacity);
-}
+    : in(cfg.submit_queue_capacity), out(cfg.result_queue_capacity) {}
 
 SessionManager::SessionManager(dsp::SampleRate fs, const FleetConfig& cfg)
     : fs_(fs), cfg_(cfg) {
@@ -78,12 +76,6 @@ SessionManager::~SessionManager() {
 // ---------------------------------------------------------------------------
 // Pilot-side API
 // ---------------------------------------------------------------------------
-
-std::uint32_t SessionManager::do_add_session() {
-  // Historical static placement, kept for the deprecated wrapper only.
-  return do_add_session_on(
-      static_cast<std::uint32_t>(sessions_.size() % cfg_.workers));
-}
 
 std::uint32_t SessionManager::do_add_session_on(std::uint32_t worker) {
   if (worker >= workers_.size())
@@ -174,7 +166,7 @@ bool SessionManager::enqueue_item(Session& s, dsp::SignalView ecg_mv, dsp::Signa
                                   SessionOp op) {
   // After close() the shutdown sentinel is already queued; anything
   // enqueued behind it would never be processed and idle() would hang.
-  if (closed_) throw std::logic_error("SessionManager: submit after close()");
+  if (closed_) throw std::logic_error("SessionManager: push after close()");
   if (s.finished) throw std::logic_error("SessionManager: session already finished");
   // Every op occupies one slot of the in-flight window so the
   // submitted/completed counters stay aligned on both sides (the worker
@@ -237,9 +229,9 @@ void SessionManager::do_migrate(std::uint32_t session, std::uint32_t target_work
     throw std::out_of_range("SessionManager: unknown session id");
   if (target_worker >= workers_.size())
     throw std::out_of_range("SessionManager: unknown worker");
-  if (!started_) throw std::logic_error("SessionManager: migrate() before start()");
+  if (!started_) throw std::logic_error("SessionManager: migrate_to() before start()");
   Session& s = *sessions_[session];
-  if (s.finished) throw std::logic_error("SessionManager: migrate() after finish");
+  if (s.finished) throw std::logic_error("SessionManager: migrate_to() after finish");
 
   // 1. Ask the current owner to checkpoint. The work queue serializes
   //    this behind every chunk submitted so far, so the blob captures
@@ -285,11 +277,11 @@ void SessionManager::do_start_recording(std::uint32_t session,
                                      FlightRecorderConfig rcfg) {
   if (session >= sessions_.size())
     throw std::out_of_range("SessionManager: unknown session id");
-  if (!started_) throw std::logic_error("SessionManager: start_recording() before start()");
+  if (!started_) throw std::logic_error("SessionManager: record_start() before start()");
   if (sink == nullptr)
-    throw std::invalid_argument("SessionManager: start_recording() needs a sink");
+    throw std::invalid_argument("SessionManager: record_start() needs a sink");
   Session& s = *sessions_[session];
-  if (s.finished) throw std::logic_error("SessionManager: start_recording() after finish");
+  if (s.finished) throw std::logic_error("SessionManager: record_start() after finish");
   if (s.is_recording)
     throw std::logic_error("SessionManager: session is already being recorded");
 
@@ -323,7 +315,7 @@ std::unique_ptr<RecorderSink> SessionManager::do_stop_recording(
     throw std::logic_error("SessionManager: session is not being recorded");
   if (s.finished)
     throw std::logic_error(
-        "SessionManager: recording was already finalized by finish_session");
+        "SessionManager: recording was already finalized by finish()");
 
   s.record_ack.store(false, std::memory_order_relaxed);
   Backoff backoff;
@@ -495,8 +487,7 @@ const std::vector<FleetWorkerStats>& SessionManager::worker_stats() const {
     s.chunks = w->chunks.load(std::memory_order_relaxed);
     s.samples = w->samples.load(std::memory_order_relaxed);
     s.beats = w->beats.load(std::memory_order_relaxed);
-    s.push_latency_us = w->push_latency_us;
-    stats_cache_.push_back(std::move(s));
+    stats_cache_.push_back(s);
   }
   return stats_cache_;
 }
@@ -628,17 +619,9 @@ void SessionManager::worker_loop(Worker& w) {
         const std::size_t slot =
             s.completed.load(std::memory_order_relaxed) % cfg_.chunk_slots_per_session;
         const dsp::Sample* base = s.slab.data() + slot * cfg_.max_chunk * 2;
-        const bool log = w.push_latency_us.size() < w.push_latency_us.capacity();
-        const auto t0 = log ? std::chrono::steady_clock::now()
-                            : std::chrono::steady_clock::time_point{};
         s.engine.push_into(dsp::SignalView(base, item.len),
                            dsp::SignalView(base + cfg_.max_chunk, item.len),
                            s.beat_scratch);
-        if (log) {
-          const auto t1 = std::chrono::steady_clock::now();
-          w.push_latency_us.push_back(
-              std::chrono::duration<double, std::micro>(t1 - t0).count());
-        }
         if (s.recorder)
           s.recorder->on_chunk(s.engine, dsp::SignalView(base, item.len),
                                dsp::SignalView(base + cfg_.max_chunk, item.len),
@@ -723,15 +706,7 @@ void SessionManager::process_batch_ready(BatchGroup& g, Worker& w) {
       g.z_ptrs[l] = src + g.max_chunk;
       g.lane_beats[l].clear();
     }
-    const bool log = w.push_latency_us.size() < w.push_latency_us.capacity();
-    const auto t0 = log ? std::chrono::steady_clock::now()
-                        : std::chrono::steady_clock::time_point{};
     g.batch->push(g.ecg_ptrs.data(), g.z_ptrs.data(), len, g.lane_beats.data());
-    if (log) {
-      const auto t1 = std::chrono::steady_clock::now();
-      w.push_latency_us.push_back(
-          std::chrono::duration<double, std::micro>(t1 - t0).count());
-    }
     for (std::size_t l = 0; l < width; ++l) {
       g.head[l] = (g.head[l] + 1) % g.slots;
       --g.count[l];

@@ -10,14 +10,13 @@
 // lock-free — per-session output is byte-identical whatever the worker
 // count, which is the determinism contract the fleet tests pin down.
 //
-// Session-facing API (PR 10): `open()` returns a `SessionHandle`, an
-// RAII façade whose verb set matches the C ABI
+// Session-facing API: `open()` returns a `SessionHandle`, an RAII
+// façade whose verb set matches the C ABI
 // (open/push/poll_beat/finish/quality). Placement is load-aware —
-// open() homes the session on `least_loaded_worker()` instead of the
-// historical static `id % workers` (for sequential opens on a fresh
-// fleet the two are identical, which is why the determinism fixtures
-// did not move). The raw-id methods remain as thin [[deprecated]]
-// wrappers for one PR; new code should not touch ids.
+// open() homes the session on `least_loaded_worker()` (for sequential
+// opens on a fresh fleet that is the static `id % workers` order, which
+// is why the determinism fixtures never moved). A session's raw id only
+// labels its FleetBeats.
 //
 // Threading model (strict, by construction):
 //   - ONE pilot thread calls open / push / finish / poll / close. All
@@ -85,8 +84,6 @@ struct FleetConfig {
   std::size_t submit_queue_capacity = 1024;
   /// Completed beats per worker queue.
   std::size_t result_queue_capacity = 8192;
-  /// Per-worker per-push latency log entries (0 disables recording).
-  std::size_t latency_log_capacity = 1 << 16;
   /// Per-session look-back window, as in StreamingBeatPipeline.
   double window_s = 12.0;
   /// SIMD batch mode (core::SessionBatch): 0 (the default) auto-selects
@@ -127,7 +124,6 @@ struct FleetWorkerStats {
   std::uint64_t chunks = 0;
   std::uint64_t samples = 0;
   std::uint64_t beats = 0;
-  std::vector<double> push_latency_us;  ///< first latency_log_capacity pushes
 };
 
 class SessionManager {
@@ -153,11 +149,6 @@ class SessionManager {
   /// open() with explicit placement (tests and repack tooling).
   [[nodiscard]] SessionHandle open_on(std::uint32_t worker);
 
-  /// \deprecated Raw-id session registration, kept as a thin wrapper for
-  /// one PR. Placement is the historical `id % workers`. Use open().
-  [[deprecated("use SessionManager::open() and SessionHandle")]]
-  std::uint32_t add_session() { return do_add_session(); }
-
   [[nodiscard]] std::size_t session_count() const { return sessions_.size(); }
   [[nodiscard]] std::size_t worker_count() const { return workers_.size(); }
   [[nodiscard]] bool started() const { return started_; }
@@ -170,42 +161,6 @@ class SessionManager {
 
   /// Spawns the worker pool. Call once.
   void start();
-
-  /// \deprecated Use SessionHandle::try_push().
-  [[deprecated("use SessionHandle::try_push()")]]
-  bool try_submit(std::uint32_t session, dsp::SignalView ecg_mv, dsp::SignalView z_ohm) {
-    return do_try_submit(session, ecg_mv, z_ohm);
-  }
-
-  /// \deprecated Use SessionHandle::push().
-  [[deprecated("use SessionHandle::push()")]]
-  void submit(std::uint32_t session, dsp::SignalView ecg_mv, dsp::SignalView z_ohm,
-              std::vector<FleetBeat>& sink) {
-    do_submit(session, ecg_mv, z_ohm, sink);
-  }
-
-  /// \deprecated Use SessionHandle::try_finish().
-  [[deprecated("use SessionHandle::try_finish()")]]
-  bool try_finish_session(std::uint32_t session) { return do_try_finish(session); }
-
-  /// \deprecated Use SessionHandle::finish().
-  [[deprecated("use SessionHandle::finish()")]]
-  void finish_session(std::uint32_t session, std::vector<FleetBeat>& sink) {
-    do_finish(session, sink);
-  }
-
-  /// \deprecated Use SessionHandle::migrate_to().
-  [[deprecated("use SessionHandle::migrate_to()")]]
-  void migrate(std::uint32_t session, std::uint32_t target_worker,
-               std::vector<FleetBeat>& sink) {
-    do_migrate(session, target_worker, sink);
-  }
-
-  /// \deprecated Use SessionHandle::worker().
-  [[deprecated("use SessionHandle::worker()")]]
-  std::uint32_t session_worker(std::uint32_t session) const {
-    return do_session_worker(session);
-  }
 
   /// Worker with the fewest resident unfinished sessions (pilot thread
   /// only) — open()'s placement policy and the natural migrate_to()
@@ -227,25 +182,6 @@ class SessionManager {
 
   /// Completed migrations so far (SessionHandle::migrate_to() calls).
   [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
-
-  /// \deprecated Use SessionHandle::record_start().
-  [[deprecated("use SessionHandle::record_start()")]]
-  void start_recording(std::uint32_t session, std::unique_ptr<RecorderSink> sink,
-                       std::vector<FleetBeat>& drained,
-                       FlightRecorderConfig rcfg = {}) {
-    do_start_recording(session, std::move(sink), drained, rcfg);
-  }
-
-  /// \deprecated Use SessionHandle::record_stop().
-  [[deprecated("use SessionHandle::record_stop()")]]
-  std::unique_ptr<RecorderSink> stop_recording(std::uint32_t session,
-                                               std::vector<FleetBeat>& drained) {
-    return do_stop_recording(session, drained);
-  }
-
-  /// \deprecated Use SessionHandle::recording().
-  [[deprecated("use SessionHandle::recording()")]]
-  bool recording(std::uint32_t session) const { return do_recording(session); }
 
   /// Moves up to max_items completed beats into `out` (appended, not
   /// cleared). Pilot thread only. Returns the number moved. This is the
@@ -276,12 +212,6 @@ class SessionManager {
 
   /// Per-worker counters; stable after join().
   [[nodiscard]] const std::vector<FleetWorkerStats>& worker_stats() const;
-
-  /// \deprecated Use SessionHandle::quality().
-  [[deprecated("use SessionHandle::quality()")]]
-  const QualitySummary& session_quality(std::uint32_t session) const {
-    return do_session_quality(session);
-  }
 
   /// Sum of every session's QualitySummary (same caveat as
   /// SessionHandle::quality(): meaningful after join() or at idle()).
@@ -390,19 +320,14 @@ class SessionManager {
     /// thread spawns); dissolved on shutdown so stashed chunks flush.
     std::vector<BatchGroup*> groups;
     /// Counters are atomic (relaxed) so the pilot can read live totals
-    /// while the worker runs; the latency log is worker-only until
-    /// join().
+    /// while the worker runs.
     std::atomic<std::uint64_t> chunks{0};
     std::atomic<std::uint64_t> samples{0};
     std::atomic<std::uint64_t> beats{0};
-    std::vector<double> push_latency_us;
     std::thread thread;
   };
 
-  // The real implementations behind both the SessionHandle verbs and
-  // the deprecated raw-id wrappers (which must not call their warning-
-  // bearing public twins).
-  std::uint32_t do_add_session();
+  // The implementations behind the SessionHandle verbs.
   std::uint32_t do_add_session_on(std::uint32_t worker);
   bool do_try_submit(std::uint32_t session, dsp::SignalView ecg_mv, dsp::SignalView z_ohm);
   void do_submit(std::uint32_t session, dsp::SignalView ecg_mv, dsp::SignalView z_ohm,
@@ -455,8 +380,8 @@ class SessionManager {
   bool joined_ = false;
 };
 
-/// RAII façade over one fleet session — the canonical session API since
-/// PR 10, with the verb set the C ABI committed to: open (via
+/// RAII façade over one fleet session — the session API, with the verb
+/// set the C ABI committed to: open (via
 /// SessionManager::open()), push, poll_beat, finish, quality. A handle
 /// is movable, not copyable; the pilot-thread-only discipline of
 /// SessionManager applies to every verb. Destroying a handle whose
@@ -574,9 +499,9 @@ class SessionHandle {
   [[nodiscard]] bool recording() const { return mgr_->do_recording(id_); }
 
   /// Detaches the handle from the session without finishing it: the
-  /// session stays alive under its raw id (deprecated-wrapper interop
-  /// and the manager-level run_to_completion() sweep). Returns the id;
-  /// the handle becomes invalid.
+  /// session stays alive under its raw id, for the manager-level
+  /// run_to_completion() sweep. Returns the id; the handle becomes
+  /// invalid.
   std::uint32_t release() {
     const std::uint32_t id = id_;
     mgr_ = nullptr;

@@ -24,17 +24,21 @@
 //     and converts to double exactly once per completed R-R window, at
 //     the delineation boundary -- the beat-rate tail (delineator, quality
 //     gate, hemodynamics) stays in double for both backends.
+//   - BasicStreamingBeatPipeline<dsp::BatchBackend<W>>  W sessions in
+//     SIMD lockstep, one per lane, each byte-identical to its own
+//     StreamingBeatPipeline (wrapped by core::SessionBatch).
 //   - BeatPipeline::process        one recording, offline; byte-identical
 //     BeatRecords to StreamingBeatPipeline at any chunking, because it
 //     *is* StreamingBeatPipeline fed a single chunk.
 //
 // Internally the engine is two halves joined at the feature boundary:
-// the *stage front* (ECG cleaner, QRS detector, ICG conditioner — the
-// data-parallel sample-rate chain) and the BeatAssembler (look-back
+// the *stage front* (ECG cleaner, QRS feature chain, ICG conditioner —
+// the data-parallel sample-rate chain, which ticks all lanes at once)
+// and, per lane, the QRS decision tail plus the BeatAssembler (look-back
 // rings, contact-gap recovery, delineation, quality, hemodynamics,
-// ensemble — the per-session beat-rate tail). core::SessionBatch reuses
-// the assembler per lane under a SIMD-batched front, which is why it is
-// a named component rather than pipeline-private state.
+// ensemble — the per-session beat-rate tail). That lane split is the
+// whole difference between the scalar and the batch engines, so one
+// body serves both.
 #pragma once
 
 #include "core/checkpoint.h"
@@ -52,11 +56,13 @@
 #include "dsp/types.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -136,10 +142,11 @@ inline constexpr std::uint8_t kZSat = 1u << 3;
 /// and the optional ensemble stage. Everything downstream of the
 /// sample-rate stage front, with scalar (per-session) control flow.
 ///
-/// BasicStreamingBeatPipeline owns one assembler; core::SessionBatch
-/// owns W of them (one per SIMD lane) behind a shared batched front --
-/// the assembler is exactly the state whose control flow diverges per
-/// session, so batching stops at its boundary.
+/// BasicStreamingBeatPipeline owns one assembler per lane: one on the
+/// scalar backends, W (one per SIMD lane, each a
+/// BeatAssembler<DoubleBackend>) behind the shared batched front of
+/// BatchBackend<W> -- the assembler is exactly the state whose control
+/// flow diverges per session, so batching stops at its boundary.
 ///
 /// Serialization is exposed as one body per checkpoint section (RING /
 /// BEAT / GAPS / QSUM / ENSB); the pipeline wraps them in its section
@@ -228,11 +235,8 @@ class BeatAssembler {
   }
 
   [[nodiscard]] std::size_t samples_consumed() const { return consumed_; }
-  [[nodiscard]] std::size_t icg_count() const { return icg_count_; }
   [[nodiscard]] std::size_t r_peak_count() const { return r_peak_count_; }
-  [[nodiscard]] std::size_t window_samples() const { return window_samples_; }
   [[nodiscard]] const QualitySummary& quality_summary() const { return summary_; }
-  [[nodiscard]] bool in_dropout() const { return ecg_gap_ || z_gap_; }
 
   /// Running mean of the impedance trace consumed so far.
   [[nodiscard]] double z_mean_ohm() const {
@@ -704,10 +708,19 @@ class BeatAssembler {
 /// arithmetic, and converts each completed R-R window of ICG counts back
 /// to Ohm/s once, feeding the same double delineation/quality/
 /// hemodynamics tail as the reference engine.
+///
+/// With BatchBackend<W> the same body advances W same-configuration
+/// sessions (lanes) in lockstep: the stage front ticks LaneVec<W>
+/// samples, and every lane has its own QRS decision tail and
+/// BeatAssembler<DoubleBackend>, the state whose control flow diverges
+/// per session. core::SessionBatch wraps that instantiation. The scalar
+/// backends have one lane; the single-session members (SignalView push,
+/// finish, checkpoint blobs, capture) exist only there.
 template <typename B>
 class BasicStreamingBeatPipeline {
  public:
   using sample_t = typename B::sample_t;
+  static constexpr std::size_t kLanes = B::kLanes;
 
   BasicStreamingBeatPipeline(dsp::SampleRate fs, const PipelineConfig& cfg = {},
                              double window_s = 12.0,
@@ -720,16 +733,18 @@ class BasicStreamingBeatPipeline {
         ecg_stage_(fs, cfg.ecg_filter),
         icg_stage_(fs, cfg.icg_filter, B::kFixed ? scaling.icg_gain_log2 : 0),
         qrs_(fs, cfg.qrs),
-        assembler_(fs, cfg, window_samples_, z_scale_, icg_scale_,
-                   scaling.ecg_fullscale_mv, scaling.z_fullscale_ohm,
-                   icg_stage_.latency()) {
+        assemblers_(dsp::make_lanes<Assembler, kLanes>(
+            fs, cfg, window_samples_, z_scale_, icg_scale_, scaling.ecg_fullscale_mv,
+            scaling.z_fullscale_ohm, icg_stage_.latency())) {
     ecg_scratch_.reserve(512);
     icg_scratch_.reserve(512);
-    r_scratch_.reserve(64);
+    for (auto& rs : r_scratch_) rs.reserve(64);
   }
 
   /// Feeds one synchronized chunk; returns the beats completed by it.
-  std::vector<BeatRecord> push(dsp::SignalView ecg_mv, dsp::SignalView z_ohm) {
+  std::vector<BeatRecord> push(dsp::SignalView ecg_mv, dsp::SignalView z_ohm)
+    requires(kLanes == 1)
+  {
     std::vector<BeatRecord> emitted;
     push_into(ecg_mv, z_ohm, emitted);
     return emitted;
@@ -739,132 +754,104 @@ class BasicStreamingBeatPipeline {
   /// (which is not cleared). With a caller-reused `out`, a warmed-up
   /// session does zero heap allocation per push — the property the fleet
   /// hot path relies on (verified by the allocation-probe test).
+  void push_into(dsp::SignalView ecg_mv, dsp::SignalView z_ohm,
+                 std::vector<BeatRecord>& out)
+    requires(kLanes == 1)
+  {
+    if (ecg_mv.size() != z_ohm.size())
+      ICGKIT_THROW(std::invalid_argument("StreamingBeatPipeline: chunk length mismatch"));
+    const double* e = ecg_mv.data();
+    const double* z = z_ohm.data();
+    push_lanes(&e, &z, ecg_mv.size(), &out);
+  }
+
+  /// Advances every lane by `n` samples: ecg_mv[l] and z_ohm[l] point at
+  /// lane l's samples, and lane l's completed beats are appended to
+  /// out[l].
   ///
   /// Two-phase per chunk: the sample-rate fronts (ICG conditioner, ECG
   /// cleaner, QRS feature chain) each run as one fused flat pass over
-  /// the whole chunk first, then a per-raw-sample replay drives the
-  /// scalar tails (gap machine, decision tail, assembler) in exactly the
-  /// per-sample ingest order. The fronts depend only on their own raw
-  /// inputs — never on tail state (soft_reset touches only the decision
-  /// tail's adaptive state) — so splitting the phases is byte-identical
-  /// to interleaving them sample by sample.
-  void push_into(dsp::SignalView ecg_mv, dsp::SignalView z_ohm,
-                 std::vector<BeatRecord>& out) {
-    if (ecg_mv.size() != z_ohm.size())
-      ICGKIT_THROW(std::invalid_argument("StreamingBeatPipeline: chunk length mismatch"));
-    const std::size_t n = ecg_mv.size();
-    if (n == 0) return;
-
-    // Phase 1: fused fronts over the whole chunk. Under Q31 the raw
-    // doubles are quantized exactly once per sample into the input
-    // arenas; the double backend feeds the caller's buffers directly.
-    std::span<const sample_t> e, z;
-    if constexpr (B::kFixed) {
-      e_arena_.clear();
-      z_arena_.clear();
-      for (std::size_t i = 0; i < n; ++i) {
-        e_arena_.push_back(ecg_from(ecg_mv[i]));
-        z_arena_.push_back(z_from(z_ohm[i]));
-      }
-      e = e_arena_;
-      z = z_arena_;
-    } else {
-      e = std::span<const sample_t>(ecg_mv.data(), n);
-      z = std::span<const sample_t>(z_ohm.data(), n);
-    }
-    icg_scratch_.clear();
-    icg_cum_.clear();
-    icg_stage_.process_chunk(z, icg_scratch_, icg_cum_);
-    ecg_scratch_.clear();
-    ecg_cum_.clear();
-    ecg_stage_.process_chunk(e, ecg_scratch_, ecg_cum_);
-    feat_out_.clear();
-    feat_cum_.clear();
-    qrs_.front_chunk(ecg_scratch_, feat_out_, feat_cum_);
-
-    // Phase 2: per-raw-sample replay of the scalar tails, consuming each
-    // front's per-input output range [cum[i-1], cum[i]).
-    auto& tail = qrs_.decision_tail();
-    std::uint32_t icg_lo = 0, ecg_lo = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      assembler_.on_raw_sample(ecg_mv[i], z_ohm[i], z[i],
-                               [this] { qrs_.soft_reset(); });
-      for (std::uint32_t k = icg_lo; k < icg_cum_[i]; ++k) {
-        assembler_.on_icg_sample(icg_scratch_[k]);
-        if (capture_) captured_icg_.push_back(icg_real(icg_scratch_[k]));
-      }
-      icg_lo = icg_cum_[i];
-      assembler_.maybe_drain_ensemble();
-
-      r_scratch_.clear();
-      for (std::uint32_t k = ecg_lo; k < ecg_cum_[i]; ++k) {
-        if (capture_) captured_ecg_.push_back(ecg_real(ecg_scratch_[k]));
-        tail.note_input(ecg_scratch_[k]);
-        const std::uint32_t f_lo = k > 0 ? feat_cum_[k - 1] : 0;
-        for (std::uint32_t f = f_lo; f < feat_cum_[k]; ++f)
-          tail.on_feature_sample(feat_out_[f], r_scratch_);
-      }
-      ecg_lo = ecg_cum_[i];
-      for (const std::size_t r : r_scratch_) assembler_.on_r_peak(r);
-      // Emit every beat whose aligned ICG is now complete -- done per
-      // sample so the emission point (and thus the ring-buffer state it
-      // reads) is identical however the input was chunked.
-      assembler_.drain_ready(out);
-    }
-  }
+  /// the whole chunk first — W lanes at once under the batch backend —
+  /// then a per-raw-sample replay drives each lane's scalar tails (gap
+  /// machine, decision tail, assembler) in exactly the per-sample ingest
+  /// order. The fronts depend only on their own raw inputs — never on
+  /// tail state (soft_reset touches only the decision tail's adaptive
+  /// state) — and lanes share no tail state, so splitting the phases and
+  /// replaying lane by lane is byte-identical to interleaving them
+  /// sample by sample, session by session.
+  void push_lanes(const double* const* ecg_mv, const double* const* z_ohm, std::size_t n,
+                  std::vector<BeatRecord>* out);
 
   /// Flushes the stage tails and any pending beats (end of recording).
-  std::vector<BeatRecord> finish() {
+  std::vector<BeatRecord> finish() requires(kLanes == 1) {
     std::vector<BeatRecord> emitted;
-    finish_into(emitted);
+    finish_lanes(&emitted);
     return emitted;
   }
 
   /// Allocation-free form of finish(): appends to `out`.
-  void finish_into(std::vector<BeatRecord>& emitted) {
+  void finish_into(std::vector<BeatRecord>& out) requires(kLanes == 1) {
+    finish_lanes(&out);
+  }
+
+  /// End of stream for every lane; lane l's tail beats are appended to
+  /// out[l].
+  void finish_lanes(std::vector<BeatRecord>* out) {
     icg_scratch_.clear();
     icg_stage_.finish(icg_scratch_);
-    for (const sample_t v : icg_scratch_) {
-      assembler_.on_icg_sample(v);
-      if (capture_) captured_icg_.push_back(icg_real(v));
-    }
-    assembler_.maybe_drain_ensemble();
-
     ecg_scratch_.clear();
     ecg_stage_.finish(ecg_scratch_);
-    r_scratch_.clear();
+    for (auto& rs : r_scratch_) rs.clear();
     for (const sample_t v : ecg_scratch_) {
-      if (capture_) captured_ecg_.push_back(ecg_real(v));
+      if (capture_) captured_ecg_.push_back(ecg_real(B::lane(v, 0)));
       qrs_.push(v, r_scratch_);
     }
     qrs_.finish(r_scratch_);
-    for (const std::size_t r : r_scratch_) assembler_.on_r_peak(r);
-    assembler_.drain_ready(emitted);
+
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      Assembler& a = assemblers_[l];
+      for (const sample_t v : icg_scratch_) {
+        a.on_icg_sample(B::lane(v, l));
+        if (capture_) captured_icg_.push_back(icg_real(B::lane(v, l)));
+      }
+      a.maybe_drain_ensemble();
+      for (const std::size_t r : r_scratch_[l]) a.on_r_peak(r);
+      a.drain_ready(out[l]);
+    }
   }
 
-  [[nodiscard]] std::size_t samples_consumed() const { return assembler_.samples_consumed(); }
-  [[nodiscard]] std::size_t r_peak_count() const { return assembler_.r_peak_count(); }
-  [[nodiscard]] std::size_t window_samples() const { return assembler_.window_samples(); }
+  /// Samples consumed per lane (identical across lanes, by lockstep).
+  [[nodiscard]] std::size_t samples_consumed() const {
+    return assemblers_[0].samples_consumed();
+  }
+  [[nodiscard]] std::size_t r_peak_count() const requires(kLanes == 1) {
+    return assemblers_[0].r_peak_count();
+  }
+  [[nodiscard]] std::size_t window_samples() const { return window_samples_; }
   /// Running mean of the impedance trace consumed so far.
-  [[nodiscard]] double z_mean_ohm() const { return assembler_.z_mean_ohm(); }
+  [[nodiscard]] double z_mean_ohm() const requires(kLanes == 1) {
+    return assemblers_[0].z_mean_ohm();
+  }
 
   /// Records the aligned filtered ECG/ICG streams (used by the batch
   /// wrapper to fill PipelineResult; off by default to keep streaming
   /// memory bounded). Always captured in real units (mV / Ohm per
   /// second), whatever the backend.
-  void enable_capture() { capture_ = true; }
-  [[nodiscard]] const dsp::Signal& captured_ecg() const { return captured_ecg_; }
-  [[nodiscard]] const dsp::Signal& captured_icg() const { return captured_icg_; }
-
-  /// Running per-session quality aggregate: every emitted beat's verdict
-  /// plus the contact gaps detected and the recovery resets performed so
-  /// far. The fleet surfaces this through its end-of-session FleetBeat.
-  [[nodiscard]] const QualitySummary& quality_summary() const {
-    return assembler_.quality_summary();
+  void enable_capture() requires(kLanes == 1) { capture_ = true; }
+  [[nodiscard]] const dsp::Signal& captured_ecg() const requires(kLanes == 1) {
+    return captured_ecg_;
   }
-  /// True while a contact gap (flat run past dropout_reset_s) is open on
-  /// either channel.
-  [[nodiscard]] bool in_dropout() const { return assembler_.in_dropout(); }
+  [[nodiscard]] const dsp::Signal& captured_icg() const requires(kLanes == 1) {
+    return captured_icg_;
+  }
+
+  /// Running per-session (per-lane) quality aggregate: every emitted
+  /// beat's verdict plus the contact gaps detected and the recovery
+  /// resets performed so far. The fleet surfaces this through its
+  /// end-of-session FleetBeat.
+  [[nodiscard]] const QualitySummary& quality_summary(std::size_t lane = 0) const {
+    return assemblers_[lane].quality_summary();
+  }
 
   // -- checkpoint/restore (core::Checkpoint subsystem) -----------------
   //
@@ -878,9 +865,14 @@ class BasicStreamingBeatPipeline {
   // resuming the stream, emits byte-identical BeatRecords to the
   // uninterrupted run — for both backends.
 
-  /// Serializes the session into `w` as one section per stage group.
-  /// Throws CheckpointError when capture is enabled (the unbounded
-  /// capture buffers are a batch-wrapper diagnostic, not session state).
+  /// Serializes the session into `w` as one section per stage group —
+  /// the one definition of the version-1 section list. The beat-rate
+  /// sections are per lane: lane l's go to w.lane_writer(l), which is the
+  /// writer itself for a plain StateWriter; under a lane adaptor
+  /// (core::LaneStateWriter) every lane's byte stream is this same
+  /// scalar layout. Throws CheckpointError when capture is enabled (the
+  /// unbounded capture buffers are a batch-wrapper diagnostic, not
+  /// session state).
   template <typename W>
   void save_state(W& w) const {
     if (capture_)
@@ -904,28 +896,34 @@ class BasicStreamingBeatPipeline {
     qrs_.save_state(w);
     w.end_section();
 
-    w.begin_section("RING");
-    assembler_.save_ring_body(w);
-    w.end_section();
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      auto& lw = w.lane_writer(l);
+      const Assembler& a = assemblers_[l];
 
-    w.begin_section("BEAT");
-    assembler_.save_beat_body(w);
-    w.end_section();
+      lw.begin_section("RING");
+      a.save_ring_body(lw);
+      lw.end_section();
 
-    w.begin_section("GAPS");
-    assembler_.save_gaps_body(w);
-    w.end_section();
+      lw.begin_section("BEAT");
+      a.save_beat_body(lw);
+      lw.end_section();
 
-    w.begin_section("QSUM");
-    assembler_.save_qsum_body(w);
-    w.end_section();
+      lw.begin_section("GAPS");
+      a.save_gaps_body(lw);
+      lw.end_section();
 
-    w.begin_section("ENSB");
-    assembler_.save_ensb_body(w);
-    w.end_section();
+      lw.begin_section("QSUM");
+      a.save_qsum_body(lw);
+      lw.end_section();
+
+      lw.begin_section("ENSB");
+      a.save_ensb_body(lw);
+      lw.end_section();
+    }
   }
 
-  /// Restores the session from `r`. The target must have been
+  /// Restores the session from `r` (per-lane sections through
+  /// r.lane_reader(l), mirroring save_state). The target must have been
   /// constructed with the same configuration (backend, sample rate,
   /// window, stage layout); any disagreement throws CheckpointError and
   /// leaves the pipeline in an unspecified state — discard it.
@@ -952,37 +950,42 @@ class BasicStreamingBeatPipeline {
     qrs_.load_state(r);
     r.end_section();
 
-    r.begin_section("RING");
-    assembler_.load_ring_body(r);
-    r.end_section();
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      auto& lr = r.lane_reader(l);
+      Assembler& a = assemblers_[l];
 
-    r.begin_section("BEAT");
-    assembler_.load_beat_body(r);
-    r.end_section();
+      lr.begin_section("RING");
+      a.load_ring_body(lr);
+      lr.end_section();
 
-    r.begin_section("GAPS");
-    assembler_.load_gaps_body(r);
-    r.end_section();
+      lr.begin_section("BEAT");
+      a.load_beat_body(lr);
+      lr.end_section();
 
-    r.begin_section("QSUM");
-    assembler_.load_qsum_body(r);
-    r.end_section();
+      lr.begin_section("GAPS");
+      a.load_gaps_body(lr);
+      lr.end_section();
 
-    r.begin_section("ENSB");
-    assembler_.load_ensb_body(r);
-    r.end_section();
+      lr.begin_section("QSUM");
+      a.load_qsum_body(lr);
+      lr.end_section();
+
+      lr.begin_section("ENSB");
+      a.load_ensb_body(lr);
+      lr.end_section();
+    }
   }
 
   /// Serializes the session into `blob` (replaced; its capacity is
   /// reused, so a warmed-up migration path does not allocate).
-  void checkpoint_into(std::vector<std::uint8_t>& blob) const {
+  void checkpoint_into(std::vector<std::uint8_t>& blob) const requires(kLanes == 1) {
     StateWriter w(std::move(blob));
     save_state(w);
     blob = w.take();
   }
 
   /// The session as a self-contained blob.
-  [[nodiscard]] std::vector<std::uint8_t> checkpoint() const {
+  [[nodiscard]] std::vector<std::uint8_t> checkpoint() const requires(kLanes == 1) {
     std::vector<std::uint8_t> blob;
     checkpoint_into(blob);
     return blob;
@@ -995,8 +998,9 @@ class BasicStreamingBeatPipeline {
   /// before restore() so a corrupt or mismatched blob is refused with an
   /// error code even in the no-exceptions firmware profile, where
   /// restore() itself can only panic.
-  [[nodiscard]] bool restore_compatible(
-      std::span<const std::uint8_t> blob) const noexcept {
+  [[nodiscard]] bool restore_compatible(std::span<const std::uint8_t> blob) const noexcept
+    requires(kLanes == 1)
+  {
     const CheckpointProbe p = probe_checkpoint(blob);
     return p.valid && p.backend_fixed == B::kFixed && p.fs == fs_ &&
            p.window_samples == window_samples_ &&
@@ -1006,7 +1010,7 @@ class BasicStreamingBeatPipeline {
   /// Restores a checkpoint() blob into this pipeline (same-configuration
   /// target; see load_state). Throws CheckpointError on any corruption,
   /// truncation, version or configuration mismatch.
-  void restore(std::span<const std::uint8_t> blob) {
+  void restore(std::span<const std::uint8_t> blob) requires(kLanes == 1) {
     StateReader r(blob);
     load_state(r);
     if (!r.at_end())
@@ -1014,23 +1018,35 @@ class BasicStreamingBeatPipeline {
   }
 
  private:
-  // Boundary conversions. The double backend's scales are fixed at 1 and
-  // the conversions collapse to identity, so the reference engine's
-  // arithmetic is untouched by the backend abstraction.
-  [[nodiscard]] sample_t ecg_from(double v) const {
-    if constexpr (B::kFixed) return B::from_real(v / ecg_scale_);
+  using L = typename B::lane_backend;  ///< one lane's (scalar) backend
+  using lane_t = typename L::sample_t;
+  using Assembler = BeatAssembler<L>;
+
+  /// The input-staging step for sample i of every lane: Q31 quantizes
+  /// it exactly once against the stage full scale (the ADC boundary),
+  /// the batch backend packs the W lane streams into a SoA lane vector.
+  /// The double backend reads its input in place and has none.
+  [[nodiscard]] sample_t stage(const double* const* x, std::size_t i, double scale) const
+    requires(!std::is_same_v<sample_t, double>)
+  {
+    if constexpr (kLanes > 1) {
+      (void)scale;
+      sample_t v{};
+      for (std::size_t l = 0; l < kLanes; ++l) v.set_lane(l, x[l][i]);
+      return v;
+    } else {
+      return B::from_real(x[0][i] / scale);
+    }
+  }
+
+  // Lane-sample -> real-unit conversions for capture. The double scales
+  // are fixed at 1 and these collapse to identity.
+  [[nodiscard]] double ecg_real(lane_t v) const {
+    if constexpr (L::kFixed) return L::to_real(v) * ecg_scale_;
     else return v;
   }
-  [[nodiscard]] sample_t z_from(double v) const {
-    if constexpr (B::kFixed) return B::from_real(v / z_scale_);
-    else return v;
-  }
-  [[nodiscard]] double ecg_real(sample_t v) const {
-    if constexpr (B::kFixed) return B::to_real(v) * ecg_scale_;
-    else return v;
-  }
-  [[nodiscard]] double icg_real(sample_t v) const {
-    if constexpr (B::kFixed) return B::to_real(v) * icg_scale_;
+  [[nodiscard]] double icg_real(lane_t v) const {
+    if constexpr (L::kFixed) return L::to_real(v) * icg_scale_;
     else return v;
   }
 
@@ -1042,19 +1058,94 @@ class BasicStreamingBeatPipeline {
   BasicEcgCleanerStage<B> ecg_stage_;
   BasicIcgConditionerStage<B> icg_stage_;
   ecg::BasicOnlinePanTompkins<B> qrs_;
-  BeatAssembler<B> assembler_;
+  std::array<Assembler, kLanes> assemblers_;  ///< one per lane
 
   bool capture_ = false;
   dsp::Signal captured_ecg_, captured_icg_;
   std::vector<sample_t> ecg_scratch_, icg_scratch_;
-  std::vector<std::size_t> r_scratch_;
-  // Two-phase push arenas: quantized input copies (Q31 backend only),
+  std::vector<std::size_t> r_scratch_[kLanes];  ///< per-lane R peaks
+  // Two-phase push arenas: staged input copies (Q31 and batch backends),
   // the QRS front's feature stream, and the per-input cumulative-output
   // counts of each front. All reused across chunks.
   std::vector<sample_t> e_arena_, z_arena_;
   std::vector<sample_t> feat_out_;
   std::vector<std::uint32_t> icg_cum_, ecg_cum_, feat_cum_;
 };
+
+// Out of line, unlike the rest of the engine: an inline body gets split
+// and re-compiled into every translation unit that pushes (the fleet,
+// the C ABI, ...), each copy under that unit's inlining budget, instead
+// of every caller running the one instantiation compiled with the engine
+// (pipeline.cpp, batch.cpp).
+template <typename B>
+void BasicStreamingBeatPipeline<B>::push_lanes(const double* const* ecg_mv,
+                                               const double* const* z_ohm, std::size_t n,
+                                               std::vector<BeatRecord>* out) {
+  if (n == 0) return;
+
+  // Phase 1: fused fronts over the whole chunk. The double backend
+  // reads the caller's samples in place; the others stage them once.
+  std::span<const sample_t> e, z;
+  if constexpr (std::is_same_v<sample_t, double>) {
+    e = {ecg_mv[0], n};
+    z = {z_ohm[0], n};
+  } else {
+    e_arena_.clear();
+    z_arena_.clear();
+    for (std::size_t i = 0; i < n; ++i) {
+      e_arena_.push_back(stage(ecg_mv, i, ecg_scale_));
+      z_arena_.push_back(stage(z_ohm, i, z_scale_));
+    }
+    e = e_arena_;
+    z = z_arena_;
+  }
+  icg_scratch_.clear();
+  icg_cum_.clear();
+  icg_stage_.process_chunk(z, icg_scratch_, icg_cum_);
+  ecg_scratch_.clear();
+  ecg_cum_.clear();
+  ecg_stage_.process_chunk(e, ecg_scratch_, ecg_cum_);
+  feat_out_.clear();
+  feat_cum_.clear();
+  qrs_.front_chunk(ecg_scratch_, feat_out_, feat_cum_);
+
+  // Phase 2: per-lane, per-raw-sample replay of the scalar tails,
+  // consuming each front's per-input output range [cum[i-1], cum[i]).
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    Assembler& a = assemblers_[l];
+    auto& tail = qrs_.decision_tail(l);
+    std::vector<std::size_t>& rs = r_scratch_[l];
+    const double* ecg_raw = ecg_mv[l];
+    const double* z_raw = z_ohm[l];
+    std::uint32_t icg_lo = 0, ecg_lo = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      a.on_raw_sample(ecg_raw[i], z_raw[i], B::lane(z[i], l), [&tail] { tail.soft_reset(); });
+      for (std::uint32_t k = icg_lo; k < icg_cum_[i]; ++k) {
+        const lane_t v = B::lane(icg_scratch_[k], l);
+        a.on_icg_sample(v);
+        if (capture_) captured_icg_.push_back(icg_real(v));
+      }
+      icg_lo = icg_cum_[i];
+      a.maybe_drain_ensemble();
+
+      rs.clear();
+      for (std::uint32_t k = ecg_lo; k < ecg_cum_[i]; ++k) {
+        const lane_t v = B::lane(ecg_scratch_[k], l);
+        if (capture_) captured_ecg_.push_back(ecg_real(v));
+        tail.note_input(v);
+        const std::uint32_t f_lo = k > 0 ? feat_cum_[k - 1] : 0;
+        for (std::uint32_t f = f_lo; f < feat_cum_[k]; ++f)
+          tail.on_feature_sample(B::lane(feat_out_[f], l), rs);
+      }
+      ecg_lo = ecg_cum_[i];
+      for (const std::size_t r : rs) a.on_r_peak(r);
+      // Emit every beat whose aligned ICG is now complete -- done per
+      // sample so the emission point (and thus the ring-buffer state it
+      // reads) is identical however the input was chunked.
+      a.drain_ready(out[l]);
+    }
+  }
+}
 
 /// The double-precision reference engine.
 using StreamingBeatPipeline = BasicStreamingBeatPipeline<dsp::DoubleBackend>;

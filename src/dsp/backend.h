@@ -33,10 +33,12 @@
 #include "dsp/simd.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 
 #include "support/contract.h"
 
@@ -51,6 +53,8 @@ struct DoubleBackend {
   using coeff_t = double;  ///< filter coefficient
   static constexpr bool kFixed = false;
   static constexpr std::size_t kLanes = 1;
+  using lane_backend = DoubleBackend; ///< one lane's backend (itself)
+  static sample_t lane(sample_t v, std::size_t) { return v; }
 
   // -- conversions (the double backend is its own real representation) --
   static sample_t from_real(double v) { return v; }
@@ -131,6 +135,8 @@ struct Q31Backend {
   using coeff_t = std::int32_t; ///< Q2.30
   static constexpr bool kFixed = true;
   static constexpr std::size_t kLanes = 1;
+  using lane_backend = Q31Backend; ///< one lane's backend (itself)
+  static sample_t lane(sample_t v, std::size_t) { return v; }
 
   static constexpr double kOne = 2147483648.0;        // 2^31
   static constexpr double kCoeffOne = 1073741824.0;   // 2^30
@@ -245,8 +251,9 @@ struct Q31Backend {
 /// Identity contract: every op is the DoubleBackend expression applied
 /// elementwise, in the same order, with no horizontal arithmetic. A
 /// batched kernel whose control flow is lane-uniform (all the linear
-/// filters and moving stats are; see core::SessionBatch for how the
-/// divergent stages are handled) therefore produces in lane i the exact
+/// filters and moving stats are; the divergent stages keep one scalar
+/// `lane_backend` instance per lane, see core::BasicStreamingBeatPipeline)
+/// therefore produces in lane i the exact
 /// bytes the scalar double kernel produces for session i. The
 /// batch-equivalence tests enforce byte identity, not an ULP band.
 template <std::size_t W>
@@ -256,6 +263,10 @@ struct BatchBackend {
   using coeff_t = double;      ///< scalar: loaded once, broadcast across lanes
   static constexpr bool kFixed = false;
   static constexpr std::size_t kLanes = W;
+  /// Each lane is one double session: per-lane state (decision tails,
+  /// beat assemblers) runs the DoubleBackend code on `lane(v, l)`.
+  using lane_backend = DoubleBackend;
+  static double lane(sample_t v, std::size_t l) { return v.lane(l); }
 
   // -- conversions --
   static sample_t from_real(double v) { return sample_t::broadcast(v); }
@@ -321,6 +332,16 @@ struct BatchBackend {
 /// True for backends whose sample_t carries multiple lockstep lanes.
 template <typename B>
 inline constexpr bool is_batch_backend_v = (B::kLanes > 1);
+
+/// Per-lane state held inline: N objects of T, each constructed from
+/// `args` (T need not be default-constructible or movable).
+template <typename T, std::size_t N, typename... Args>
+std::array<T, N> make_lanes(const Args&... args) {
+  const auto make = [&](std::size_t) { return T(args...); };
+  return [&]<std::size_t... I>(std::index_sequence<I...>) {
+    return std::array<T, N>{make(I)...};
+  }(std::make_index_sequence<N>{});
+}
 
 /// Per-stage Q-format scaling of the fixed beat pipeline: what one unit
 /// of Q1.31 full scale means at each boundary, and the power-of-two gain

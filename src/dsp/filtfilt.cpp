@@ -122,4 +122,9 @@ FirCoefficients zero_phase_sos_kernel(const SosFilter& filter, double tol,
   return out;
 }
 
+// The one copy of the scalar streaming FIR (see the extern declarations
+// in filtfilt.h).
+template class BasicStreamingZeroPhaseFir<DoubleBackend>;
+template class BasicStreamingZeroPhaseFir<Q31Backend>;
+
 } // namespace icgkit::dsp

@@ -296,4 +296,12 @@ class BasicStreamingZeroPhaseFir {
 
 using StreamingZeroPhaseFir = BasicStreamingZeroPhaseFir<DoubleBackend>;
 
+// The scalar instantiations are compiled once, in filtfilt.cpp. This
+// convolution loop is where the engines' fronts spend most of their
+// time; implicitly instantiated, every translation unit that builds a
+// stage emits its own copy and the linker keeps whichever comes first,
+// so an engine's speed would depend on who else links against it.
+extern template class BasicStreamingZeroPhaseFir<DoubleBackend>;
+extern template class BasicStreamingZeroPhaseFir<Q31Backend>;
+
 } // namespace icgkit::dsp

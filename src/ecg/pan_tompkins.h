@@ -13,16 +13,17 @@
 //
 //   feature front   band-pass, 5-point derivative, squaring, MWI --
 //                   counter-driven control flow, identical across
-//                   sessions, so the SIMD batch backend can tick W
-//                   sessions in lockstep (BatchOnlinePanTompkins).
+//                   sessions, so the SIMD batch backend ticks W sessions
+//                   in lockstep through the same code.
 //   decision tail   QrsDecisionTail: thresholds, candidate merging,
 //                   T-wave discrimination, search-back, refinement --
 //                   data-dependent branching that diverges per session,
-//                   so the batch detector fans out into W scalar tails.
+//                   so there is one scalar tail per lane.
 //
-// BasicOnlinePanTompkins composes one front with one tail and is
-// byte-for-byte the detector it was before the split (state layout in
-// checkpoints included).
+// BasicOnlinePanTompkins<B> composes one front with B::kLanes tails: one
+// on the double and Q31 backends, where it is byte-for-byte the detector
+// it was before the split (checkpoint layout included), and W under
+// BatchBackend<W>.
 #pragma once
 
 #include "dsp/backend.h"
@@ -32,6 +33,7 @@
 #include "dsp/types.h"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -66,8 +68,8 @@ dsp::FirCoefficients pan_tompkins_bandpass_kernel(dsp::SampleRate fs,
 
 /// The decision half of the online detector: everything downstream of
 /// the integrated (MWI) feature stream, plus the raw-input history used
-/// for refinement. One instance per session; the batch detector owns W
-/// of these and feeds lane i's feature samples into tail i.
+/// for refinement. One instance per session: the detector owns one per
+/// lane and feeds lane l's feature samples into tail l.
 ///
 /// All adaptive state -- signal/noise thresholds (SPKI/NPKI), the RR
 /// history driving search-back, the pending MWI candidate, and the
@@ -443,8 +445,8 @@ class QrsDecisionTail {
 };
 
 /// Online (sample-by-sample) Pan-Tompkins detector, generic over the
-/// numeric backend (dsp/backend.h): the feature front (band-pass,
-/// derivative, squaring, MWI) composed with one QrsDecisionTail.
+/// numeric backend (dsp/backend.h): one feature front (band-pass,
+/// derivative, squaring, MWI) feeding one QrsDecisionTail per lane.
 ///
 /// The feature chain mirrors the batch one: the 5-15 Hz band-pass runs as
 /// a causal symmetric-kernel stage whose output equals the zero-phase
@@ -464,10 +466,22 @@ class QrsDecisionTail {
 /// absorbed into the (implicit) feature scale instead of multiplied per
 /// sample. Indices, RR statistics and search-back bookkeeping stay in
 /// integer/double exactly as in the reference.
+///
+/// Under BatchBackend<W> the front ticks W sessions in lockstep (each
+/// band-pass tap and derivative coefficient loaded once for all lanes)
+/// and lane l's feature samples fan out into decision tail l, a
+/// QrsDecisionTail<DoubleBackend> -- the scalar detector's own code, so
+/// lane l's peaks are byte-identical to a scalar detector fed lane l's
+/// samples. The front has no data-dependent branches: a lane in a dropout
+/// gap or awaiting a soft reset keeps streaming, and only its own tail
+/// diverges. The scalar backends have one lane. Every `out` pointer below
+/// addresses kLanes vectors, lane l's peaks going to out[l].
 template <typename B>
 class BasicOnlinePanTompkins {
  public:
   using sample_t = typename B::sample_t;
+  using Tail = QrsDecisionTail<typename B::lane_backend>;
+  static constexpr std::size_t kLanes = B::kLanes;
 
   explicit BasicOnlinePanTompkins(dsp::SampleRate fs, const PanTompkinsConfig& cfg = {})
       : fs_(fs),
@@ -475,30 +489,37 @@ class BasicOnlinePanTompkins {
             1, static_cast<std::size_t>(cfg.integration_window_s * fs))),
         bp_(pan_tompkins_bandpass_kernel(fs, cfg)),
         mwi_(mwi_win_),
-        tail_(fs, cfg) {}
+        tails_(dsp::make_lanes<Tail, kLanes>(fs, cfg)) {}
 
-  /// Feeds one cleaned-ECG sample; appends the indices (absolute, in the
-  /// fed sample timeline) of any R peaks confirmed by it to `out`.
-  void push(sample_t x, std::vector<std::size_t>& out) {
-    tail_.note_input(x);
+  /// Feeds one cleaned-ECG sample per lane; appends the indices
+  /// (absolute, in the fed sample timeline) of any R peaks it confirms.
+  void push(sample_t x, std::vector<std::size_t>* out) {
+    for (std::size_t l = 0; l < kLanes; ++l) tails_[l].note_input(B::lane(x, l));
     bp_scratch_.clear();
     bp_.push(x, bp_scratch_);
     for (const sample_t v : bp_scratch_) on_bp_sample(v, out);
   }
 
+  void push(sample_t x, std::vector<std::size_t>& out) requires(kLanes == 1) {
+    push(x, &out);
+  }
+
   /// Typed span: cross-backend container mixups fail to compile.
-  void push_chunk(std::span<const sample_t> x, std::vector<std::size_t>& out) {
-    for (const sample_t v : x) push(v, out);
+  void push_chunk(std::span<const sample_t> x, std::vector<std::size_t>& out)
+    requires(kLanes == 1)
+  {
+    for (const sample_t v : x) push(v, &out);
   }
 
   /// Feature front only, fused per chunk: band-pass, derivative,
   /// squaring and MWI run as flat passes, appending the integrated
   /// feature samples to `feat` and one `cum` entry per input sample (the
-  /// absolute size of `feat` after that sample). The decision tail is
-  /// NOT driven and note_input() is NOT called — the caller replays the
-  /// features through decision_tail() itself, calling note_input(x[i])
-  /// before consuming sample i's feature range. That replay order is
-  /// exactly push()'s interleaving, so the result is byte-identical.
+  /// absolute size of `feat` after that sample). The decision tails are
+  /// NOT driven and note_input() is NOT called — the caller replays lane
+  /// l's features through decision_tail(l) itself, calling
+  /// note_input(lane l of x[i]) before consuming sample i's feature
+  /// range. That replay order is exactly push()'s interleaving, so the
+  /// result is byte-identical.
   void front_chunk(std::span<const sample_t> x, std::vector<sample_t>& feat,
                    std::vector<std::uint32_t>& cum) {
     bp_arena_.clear();
@@ -515,13 +536,14 @@ class BasicOnlinePanTompkins {
       cum.push_back(bp_cum_[i] > 0 ? feat_cum_[bp_cum_[i] - 1] : base);
   }
 
-  /// The decision half, for callers driving the front via front_chunk().
-  [[nodiscard]] QrsDecisionTail<B>& decision_tail() { return tail_; }
+  /// Lane l's decision half, for callers driving the front via
+  /// front_chunk().
+  [[nodiscard]] Tail& decision_tail(std::size_t lane = 0) { return tails_[lane]; }
 
-  /// End of stream: processes the pending candidate and flushes.
-  void finish(std::vector<std::size_t>& out) {
+  /// End of stream: processes the pending candidates and flushes.
+  void finish(std::vector<std::size_t>* out) {
     // Flush the band-pass stage, then the derivative tail with the batch
-    // edge fallbacks, then settle learning and the pending candidate.
+    // edge fallbacks, then settle learning and the pending candidates.
     bp_scratch_.clear();
     bp_.finish(bp_scratch_);
     for (const sample_t v : bp_scratch_) on_bp_sample(v, out);
@@ -539,17 +561,15 @@ class BasicOnlinePanTompkins {
       } else {
         d = B::rescale(B::sub(h(n - 1), h(n - 2)), fs_, 0);
       }
-      tail_.on_feature_sample(mwi_.tick(B::square(d)), out);
+      const sample_t f = mwi_.tick(B::square(d));
+      for (std::size_t l = 0; l < kLanes; ++l) tails_[l].on_feature_sample(B::lane(f, l), out[l]);
       ++d_emitted_;
     }
 
-    tail_.settle(out);
+    for (std::size_t l = 0; l < kLanes; ++l) tails_[l].settle(out[l]);
   }
 
-  /// Quality-adaptive recovery hook (contact-gap resets): see
-  /// QrsDecisionTail::soft_reset. Filter state and sample counters are
-  /// kept; only the adaptive decision state restarts.
-  void soft_reset() { tail_.soft_reset(); }
+  void finish(std::vector<std::size_t>& out) requires(kLanes == 1) { finish(&out); }
 
   void reset() {
     bp_.reset();
@@ -558,11 +578,14 @@ class BasicOnlinePanTompkins {
     std::fill(std::begin(bp_hist_), std::end(bp_hist_), sample_t{});
     bp_count_ = 0;
     d_emitted_ = 0;
-    tail_.reset();
+    for (Tail& t : tails_) t.reset();
   }
 
-  [[nodiscard]] std::size_t samples_consumed() const { return tail_.samples_consumed(); }
-  [[nodiscard]] std::size_t peaks_emitted() const { return tail_.peaks_emitted(); }
+  /// Samples consumed per lane (identical across lanes, by lockstep).
+  [[nodiscard]] std::size_t samples_consumed() const { return tails_[0].samples_consumed(); }
+  [[nodiscard]] std::size_t peaks_emitted(std::size_t lane = 0) const {
+    return tails_[lane].peaks_emitted();
+  }
 
   /// Serializes the full carried detector state — feature chain (band
   /// pass, derivative history, MWI), then the decision tail — for
@@ -570,7 +593,10 @@ class BasicOnlinePanTompkins {
   /// pre-split detector (front fields, then tail fields, in the same
   /// order), so existing checkpoints restore unchanged. A restored
   /// detector continues the stream bit-identically to one that was never
-  /// interrupted.
+  /// interrupted. Lane l's tail goes to w.lane_writer(l): the writer
+  /// itself for a plain StateWriter, lane l's blob under a lane adaptor
+  /// (core::LaneStateWriter), which also scatters the front's lane
+  /// vectors — so every lane's bytes are the scalar layout.
   template <typename W>
   void save_state(W& w) const {
     bp_.save_state(w);
@@ -578,7 +604,7 @@ class BasicOnlinePanTompkins {
     w.u64(bp_count_);
     w.u64(d_emitted_);
     mwi_.save_state(w);
-    tail_.save_state(w);
+    for (std::size_t l = 0; l < kLanes; ++l) tails_[l].save_state(w.lane_writer(l));
   }
 
   template <typename R>
@@ -588,7 +614,7 @@ class BasicOnlinePanTompkins {
     bp_count_ = r.u64();
     d_emitted_ = r.u64();
     mwi_.load_state(r);
-    tail_.load_state(r);
+    for (std::size_t l = 0; l < kLanes; ++l) tails_[l].load_state(r.lane_reader(l));
   }
 
  private:
@@ -619,9 +645,10 @@ class BasicOnlinePanTompkins {
     return true;
   }
 
-  void on_bp_sample(sample_t v, std::vector<std::size_t>& out) {
+  void on_bp_sample(sample_t v, std::vector<std::size_t>* out) {
     sample_t f{};
-    if (bp_feature_step(v, f)) tail_.on_feature_sample(f, out);
+    if (!bp_feature_step(v, f)) return;
+    for (std::size_t l = 0; l < kLanes; ++l) tails_[l].on_feature_sample(B::lane(f, l), out[l]);
   }
 
   dsp::SampleRate fs_;
@@ -642,182 +669,10 @@ class BasicOnlinePanTompkins {
   std::vector<std::uint32_t> feat_cum_;
 
   dsp::BasicStreamingMovingAverage<B> mwi_;
-  QrsDecisionTail<B> tail_;
+  std::array<Tail, kLanes> tails_;  ///< one per lane
 };
 
 using OnlinePanTompkins = BasicOnlinePanTompkins<dsp::DoubleBackend>;
-
-/// Lockstep W-session Pan-Tompkins: the feature front runs once on the
-/// SIMD batch backend (each band-pass tap and derivative coefficient
-/// loaded once for all W sessions), then the integrated feature stream
-/// fans out into W scalar QrsDecisionTail<DoubleBackend> instances --
-/// the exact code the scalar detector runs, so lane i's emitted peaks
-/// are byte-identical to a scalar detector fed lane i's samples.
-///
-/// Divergence handling: the front has no data-dependent branches, so a
-/// lane inside a dropout gap or awaiting a soft reset simply keeps
-/// streaming its samples; only its own tail's decisions diverge
-/// (soft_reset_lane targets one tail without disturbing the others).
-///
-/// Checkpointing is per-lane through the lane adaptors
-/// (core::LaneStateWriter/Reader): the front's lane-uniform state is
-/// written to all W per-session blobs with lane i's values, and each
-/// tail writes lane i's blob alone -- producing exactly the scalar
-/// detector's wire layout per session.
-template <std::size_t W>
-class BatchOnlinePanTompkins {
- public:
-  using backend_t = dsp::BatchBackend<W>;
-  using sample_t = typename backend_t::sample_t;
-  static constexpr std::size_t kLanes = W;
-
-  explicit BatchOnlinePanTompkins(dsp::SampleRate fs, const PanTompkinsConfig& cfg = {})
-      : fs_(fs),
-        mwi_win_(std::max<std::size_t>(
-            1, static_cast<std::size_t>(cfg.integration_window_s * fs))),
-        bp_(pan_tompkins_bandpass_kernel(fs, cfg)),
-        mwi_(mwi_win_) {
-    tails_.reserve(W);
-    for (std::size_t l = 0; l < W; ++l) tails_.emplace_back(fs, cfg);
-  }
-
-  /// Feeds one cleaned-ECG sample per lane; appends lane l's confirmed
-  /// R-peak indices to out[l]. `out` must point at W vectors.
-  void push(sample_t x, std::vector<std::size_t>* out) {
-    for (std::size_t l = 0; l < W; ++l) tails_[l].note_input(x.lane(l));
-    bp_scratch_.clear();
-    bp_.push(x, bp_scratch_);
-    for (const sample_t v : bp_scratch_) on_bp_sample(v, out);
-  }
-
-  /// End of stream for all lanes in lockstep.
-  void finish(std::vector<std::size_t>* out) {
-    bp_scratch_.clear();
-    bp_.finish(bp_scratch_);
-    for (const sample_t v : bp_scratch_) on_bp_sample(v, out);
-
-    const std::size_t n = bp_count_;
-    auto h = [&](std::size_t i) { return bp_hist_[i % 5]; };
-    for (std::size_t i = d_emitted_; i < n; ++i) {
-      sample_t d{};
-      if (n == 1) {
-        d = sample_t{};
-      } else if (i == 0) {
-        d = backend_t::rescale(backend_t::sub(h(1), h(0)), fs_, 0);
-      } else if (i + 1 < n) {
-        d = backend_t::half(backend_t::rescale(backend_t::sub(h(i + 1), h(i - 1)), fs_, 0));
-      } else {
-        d = backend_t::rescale(backend_t::sub(h(n - 1), h(n - 2)), fs_, 0);
-      }
-      emit_feature(mwi_.tick(backend_t::square(d)), out);
-      ++d_emitted_;
-    }
-
-    for (std::size_t l = 0; l < W; ++l) tails_[l].settle(out[l]);
-  }
-
-  /// Feature front only, fused per chunk (see the scalar detector's
-  /// front_chunk): all W lanes' band-pass/derivative/square/MWI run in
-  /// lockstep over the whole chunk; `feat` receives the lane-vector
-  /// feature samples and `cum` one entry per input sample. The caller
-  /// replays lane l's features through decision_tail(l), calling
-  /// note_input per lane first — push()'s exact interleaving.
-  void front_chunk(std::span<const sample_t> x, std::vector<sample_t>& feat,
-                   std::vector<std::uint32_t>& cum) {
-    bp_arena_.clear();
-    bp_cum_.clear();
-    bp_.process_chunk_counted(x, bp_arena_, bp_cum_);
-    const auto base = static_cast<std::uint32_t>(feat.size());
-    feat_cum_.clear();
-    for (const sample_t v : bp_arena_) {
-      sample_t f{};
-      if (bp_feature_step(v, f)) feat.push_back(f);
-      feat_cum_.push_back(static_cast<std::uint32_t>(feat.size()));
-    }
-    for (std::size_t i = 0; i < x.size(); ++i)
-      cum.push_back(bp_cum_[i] > 0 ? feat_cum_[bp_cum_[i] - 1] : base);
-  }
-
-  /// Lane l's decision tail, for callers driving front_chunk().
-  [[nodiscard]] QrsDecisionTail<dsp::DoubleBackend>& decision_tail(std::size_t lane) {
-    return tails_[lane];
-  }
-
-  /// Contact-gap recovery for one lane (see QrsDecisionTail::soft_reset);
-  /// the shared feature front is untouched, so the other lanes are not
-  /// perturbed.
-  void soft_reset_lane(std::size_t lane) { tails_[lane].soft_reset(); }
-
-  /// Lane-adaptor serialization (see class comment). The resulting
-  /// per-session byte streams are exactly the scalar detector layout.
-  template <typename LW>
-  void save_state(LW& w) const {
-    bp_.save_state(w);
-    for (const sample_t v : bp_hist_) w.value(v);
-    w.u64(bp_count_);
-    w.u64(d_emitted_);
-    mwi_.save_state(w);
-    for (std::size_t l = 0; l < W; ++l) tails_[l].save_state(w.lane_writer(l));
-  }
-
-  template <typename LR>
-  void load_state(LR& r) {
-    bp_.load_state(r);
-    for (sample_t& v : bp_hist_) v = r.template value<sample_t>();
-    bp_count_ = r.u64();
-    d_emitted_ = r.u64();
-    mwi_.load_state(r);
-    for (std::size_t l = 0; l < W; ++l) tails_[l].load_state(r.lane_reader(l));
-  }
-
- private:
-  /// One band-passed lane vector through the derivative/square/MWI
-  /// chain; mirrors the scalar bp_feature_step lane for lane.
-  bool bp_feature_step(sample_t v, sample_t& f) {
-    bp_hist_[bp_count_ % 5] = v;
-    const std::size_t j = bp_count_++;
-    auto h = [&](std::size_t i) { return bp_hist_[i % 5]; };
-    sample_t d{};
-    if (j == 1) {
-      d = backend_t::rescale(backend_t::sub(h(1), h(0)), fs_, 0);
-    } else if (j == 2) {
-      d = backend_t::half(backend_t::rescale(backend_t::sub(h(2), h(0)), fs_, 0));
-    } else if (j >= 4) {
-      d = backend_t::eighth(backend_t::rescale(
-          backend_t::sub(
-              backend_t::sub(backend_t::add(backend_t::twice(h(j)), h(j - 1)), h(j - 3)),
-              backend_t::twice(h(j - 4))),
-          fs_, 0));
-    } else {
-      return false;
-    }
-    f = mwi_.tick(backend_t::square(d));
-    ++d_emitted_;
-    return true;
-  }
-
-  void on_bp_sample(sample_t v, std::vector<std::size_t>* out) {
-    sample_t f{};
-    if (bp_feature_step(v, f)) emit_feature(f, out);
-  }
-
-  void emit_feature(sample_t f, std::vector<std::size_t>* out) {
-    for (std::size_t l = 0; l < W; ++l) tails_[l].on_feature_sample(f.lane(l), out[l]);
-  }
-
-  dsp::SampleRate fs_;
-  std::size_t mwi_win_;
-  dsp::BasicStreamingZeroPhaseFir<backend_t> bp_;
-  std::vector<sample_t> bp_scratch_;
-  sample_t bp_hist_[5] = {};
-  std::size_t bp_count_ = 0;
-  std::size_t d_emitted_ = 0;
-  std::vector<sample_t> bp_arena_;       ///< front_chunk band-pass arena
-  std::vector<std::uint32_t> bp_cum_;
-  std::vector<std::uint32_t> feat_cum_;
-  dsp::BasicStreamingMovingAverage<backend_t> mwi_;
-  std::vector<QrsDecisionTail<dsp::DoubleBackend>> tails_; ///< one per lane
-};
 
 class PanTompkins {
  public:

@@ -490,8 +490,12 @@ std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
 std::vector<std::uint8_t> record_c_session(const synth::Recording& rec,
                                            std::uint32_t backend,
                                            bool stop_mid_stream) {
+  // Named after the calling test too: ctest runs tests as parallel
+  // processes, and two tests recording the same backend must not share
+  // a file.
   const std::string path = ::testing::TempDir() + "capi_flight_" +
-                           std::to_string(backend) +
+                           ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                           "_" + std::to_string(backend) +
                            (stop_mid_stream ? "_stopped" : "_finished") + ".icgr";
   const icg_config cfg = test_config(backend);
   icg_session* s = icg_session_create(&cfg);

@@ -263,6 +263,59 @@ TEST(SessionBatchTest, PackedCheckpointRestoresIntoScalarSessions) {
   }
 }
 
+// The checkpoint half of the identity contract, checked on the bytes
+// themselves: a mid-stream unpack() equals, blob for blob, checkpoint()
+// of scalar sessions fed the same samples, and pack() then unpack() is
+// the identity. Severe corruption with a per-lane seed puts every lane's
+// gap machine, decision tail and ensemble queue in a different state.
+template <std::size_t W>
+void expect_unpacked_blobs_match_scalar() {
+  PipelineConfig cfg;
+  cfg.enable_ensemble = true;
+  std::vector<synth::Recording> recs;
+  for (std::size_t l = 0; l < W; ++l) {
+    synth::Recording rec = make_recording(l, 20.0);
+    apply_scenario(rec, synth::ScenarioSpec::severe(), /*seed=*/307 + l);
+    recs.push_back(std::move(rec));
+  }
+  const std::size_t cut = recs[0].ecg_mv.size() / 2 + 37;  // not on a chunk edge
+
+  SessionBatch<W> batch(kFs, cfg);
+  batch.pack(fresh_lane_blobs(W, cfg));
+  std::vector<StreamingBeatPipeline> scalar;
+  scalar.reserve(W);
+  for (std::size_t l = 0; l < W; ++l) scalar.emplace_back(kFs, cfg);
+  std::array<std::vector<BeatRecord>, W> beats;
+  std::vector<BeatRecord> sink;
+  std::array<const double*, W> ecg{}, z{};
+  for (std::size_t i = 0; i < cut; i += 64) {
+    const std::size_t len = std::min<std::size_t>(64, cut - i);
+    for (std::size_t l = 0; l < W; ++l) {
+      ecg[l] = recs[l].ecg_mv.data() + i;
+      z[l] = recs[l].z_ohm.data() + i;
+      scalar[l].push_into(dsp::SignalView(ecg[l], len), dsp::SignalView(z[l], len), sink);
+    }
+    batch.push(ecg.data(), z.data(), len, beats.data());
+  }
+
+  std::vector<std::vector<std::uint8_t>> unpacked;
+  batch.unpack(unpacked);
+  ASSERT_EQ(unpacked.size(), W);
+  for (std::size_t l = 0; l < W; ++l)
+    EXPECT_EQ(unpacked[l], scalar[l].checkpoint()) << "W " << W << " lane " << l;
+
+  SessionBatch<W> repacked(kFs, cfg);
+  repacked.pack(unpacked);
+  std::vector<std::vector<std::uint8_t>> round_trip;
+  repacked.unpack(round_trip);
+  EXPECT_EQ(round_trip, unpacked) << "W " << W;
+}
+
+TEST(SessionBatchTest, UnpackedBlobsMatchScalarCheckpoints) {
+  expect_unpacked_blobs_match_scalar<4>();
+  expect_unpacked_blobs_match_scalar<8>();
+}
+
 TEST(SessionBatchTest, PackRejectsMisalignedLanes) {
   constexpr std::size_t W = 4;
   const synth::Recording rec = make_recording(0, 10.0);

@@ -1,15 +1,13 @@
-// SessionHandle façade semantics and the deprecated raw-id wrappers.
+// SessionHandle façade semantics.
 //
-// PR 10 made SessionHandle the session-facing API: move-only RAII over
-// a fleet id, verbs mirroring the C ABI, destructor-finish so a dropped
-// handle cannot leak un-flushed engine state. These tests pin down the
+// SessionHandle is the session-facing API: move-only RAII over a fleet
+// id, verbs mirroring the C ABI, destructor-finish so a dropped handle
+// cannot leak un-flushed engine state. These tests pin down the
 // handle-specific contracts the fleet determinism suite does not touch
 // — move/release lifetime, per-session poll_beat routing, explicit
 // open_on() placement, and processed() counting chunks only (control
-// ops must not inflate the network server's CACK stream) — plus one
-// pragma-guarded block proving every [[deprecated]] wrapper still
-// drives the same machinery, and the out_of_range guarantees for bogus
-// raw ids that only the wrappers can reach.
+// ops, refused ones included, must not inflate the network server's
+// CACK stream).
 #include "core/fleet.h"
 
 #include "core/beat_serializer.h"
@@ -255,6 +253,8 @@ TEST(SessionHandleTest, ProcessedCountsChunksNotControlOps) {
   h.record_start(std::make_unique<BufferRecorderSink>(), sink);
   h.migrate_to(1, sink);
   EXPECT_EQ(h.worker(), 1u);
+  EXPECT_THROW(h.migrate_to(9, sink), std::out_of_range);  // no worker 9
+  EXPECT_EQ(h.worker(), 1u);
   std::unique_ptr<core::RecorderSink> back = h.record_stop(sink);
   ASSERT_NE(back, nullptr);
   EXPECT_EQ(h.processed(), kChunks)
@@ -267,116 +267,5 @@ TEST(SessionHandleTest, ProcessedCountsChunksNotControlOps) {
 
   fleet.run_to_completion(sink);
 }
-
-// The raw-id compatibility surface: every [[deprecated]] wrapper must
-// keep driving the same machinery for one PR. Quarantined behind the
-// pragma so the -Werror CI entries stay clean.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(SessionHandleTest, DeprecatedWrappersStillDrive) {
-  const auto workload = test_workload(1, 6.0);
-  const synth::Recording& rec = workload[0];
-
-  FleetConfig cfg;
-  cfg.workers = 2;
-  cfg.max_chunk = kChunk;
-  SessionManager fleet(rec.fs, cfg);
-  const std::uint32_t sid = fleet.add_session();
-  EXPECT_EQ(fleet.session_worker(sid), sid % 2);
-  fleet.start();
-
-  std::vector<FleetBeat> sink;
-  std::vector<unsigned char> stream;
-  const std::size_t n = rec.ecg_mv.size();
-  std::size_t fed = 0;
-  bool recorded = false;
-  std::vector<std::uint8_t> recording_bytes;
-  for (std::size_t i = 0; i + kChunk <= n; i += kChunk, ++fed) {
-    const dsp::SignalView ecg(rec.ecg_mv.data() + i, kChunk);
-    const dsp::SignalView z(rec.z_ohm.data() + i, kChunk);
-    if (!fleet.try_submit(sid, ecg, z)) fleet.submit(sid, ecg, z, sink);
-    if (fed == 4) {
-      // Exercise the control-plane wrappers mid-stream: migrate to the
-      // other worker, record a stretch, and cut the recording.
-      fleet.migrate(sid, 1 - fleet.session_worker(sid), sink);
-      fleet.start_recording(sid, std::make_unique<BufferRecorderSink>(), sink);
-      EXPECT_TRUE(fleet.recording(sid));
-    }
-    if (fed == 18) {
-      auto sunk = fleet.stop_recording(sid, sink);
-      ASSERT_NE(sunk, nullptr);
-      EXPECT_FALSE(fleet.recording(sid));
-      recording_bytes = static_cast<BufferRecorderSink*>(sunk.get())->take();
-      recorded = true;
-    }
-  }
-  ASSERT_TRUE(recorded);
-  EXPECT_GT(fleet.migrations(), 0u);
-  EXPECT_TRUE(core::flight_verify(recording_bytes).ok)
-      << "wrapper-driven recording does not replay";
-
-  if (!fleet.try_finish_session(sid)) fleet.finish_session(sid, sink);
-  fleet.close();
-  fleet.join();
-  fleet.poll(sink);
-
-  std::uint64_t summary_beats = 0;
-  for (const FleetBeat& fb : sink) {
-    ASSERT_EQ(fb.session, sid);
-    if (fb.end_of_session) {
-      summary_beats = fb.session_summary.beats;
-    } else {
-      serialize_beat(fb.beat, stream);
-    }
-  }
-  EXPECT_EQ(fleet.session_quality(sid).beats, summary_beats);
-
-  // The migrated, recorded, wrapper-fed stream still byte-matches the
-  // direct pipeline over the same chunk schedule.
-  core::StreamingBeatPipeline direct(rec.fs, {});
-  std::vector<core::BeatRecord> beats;
-  for (std::size_t i = 0; i + kChunk <= n; i += kChunk) {
-    direct.push_into(dsp::SignalView(rec.ecg_mv.data() + i, kChunk),
-                     dsp::SignalView(rec.z_ohm.data() + i, kChunk), beats);
-  }
-  direct.finish_into(beats);
-  std::vector<unsigned char> reference;
-  for (const core::BeatRecord& b : beats) serialize_beat(b, reference);
-  EXPECT_EQ(stream, reference);
-}
-
-TEST(SessionHandleTest, UnknownRawIdsThrowOutOfRange) {
-  FleetConfig cfg;
-  cfg.workers = 2;
-  SessionManager fleet(dsp::SampleRate{250.0}, cfg);
-  const std::uint32_t sid = fleet.add_session();
-  const std::uint32_t bogus = sid + 7;
-  fleet.start();
-
-  std::vector<dsp::Sample> chunk(kChunk, 0.0);
-  const dsp::SignalView view(chunk.data(), chunk.size());
-  std::vector<FleetBeat> sink;
-
-  EXPECT_THROW((void)fleet.try_submit(bogus, view, view), std::out_of_range);
-  EXPECT_THROW(fleet.migrate(bogus, 0, sink), std::out_of_range);
-  EXPECT_THROW((void)fleet.session_worker(bogus), std::out_of_range);
-  EXPECT_THROW((void)fleet.try_finish_session(bogus), std::out_of_range);
-  EXPECT_THROW((void)fleet.session_quality(bogus), std::out_of_range);
-  EXPECT_THROW(
-      fleet.start_recording(bogus, std::make_unique<BufferRecorderSink>(), sink),
-      std::out_of_range);
-  EXPECT_THROW((void)fleet.stop_recording(bogus, sink), std::out_of_range);
-  EXPECT_THROW((void)fleet.recording(bogus), std::out_of_range);
-
-  // Known id, unknown target worker.
-  EXPECT_THROW(fleet.migrate(sid, 9, sink), std::out_of_range);
-
-  fleet.finish_session(sid, sink);
-  fleet.close();
-  fleet.join();
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace
