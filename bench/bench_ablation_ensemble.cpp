@@ -6,15 +6,19 @@
 #include "core/delineator.h"
 #include "core/ensemble.h"
 #include "core/icg_filter.h"
-#include "dsp/butterworth.h"
-#include "dsp/fixed_point.h"
+#include "core/stream.h"
+#include "dsp/backend.h"
+#include "dsp/filtfilt.h"
 #include "dsp/stats.h"
 #include "report/table.h"
 #include "synth/artifacts.h"
 #include "synth/icg_synth.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <iostream>
+#include <vector>
 
 namespace {
 using namespace icgkit;
@@ -85,11 +89,26 @@ int main() {
 
   report::banner(std::cout, "Fixed-point (Q31) vs double filtering accuracy");
   {
-    const dsp::SosFilter lp = dsp::butterworth_lowpass(4, 20.0, kFs);
-    dsp::Signal x(5000);
+    // The zero-phase ICG low-pass both engines run. Input stays under a
+    // third of full scale, so the odd-reflected edges cannot saturate.
+    const dsp::FirCoefficients kernel = core::icg_conditioner_lowpass_kernel(kFs, {});
+    dsp::BasicStreamingZeroPhaseFir<dsp::DoubleBackend> fd(kernel);
+    dsp::BasicStreamingZeroPhaseFir<dsp::Q31Backend> fq(kernel);
     synth::Rng rng(17);
-    for (auto& v : x) v = 0.4 * rng.normal();
-    std::cout << "worst |double - Q31| over 20 s of noise: " << dsp::fixed_point_error(lp, x)
+    dsp::Signal x(5000), yd;
+    std::vector<std::int32_t> xq, yq;
+    for (auto& v : x) {
+      v = rng.uniform(-0.3, 0.3);
+      xq.push_back(dsp::Q31Backend::from_real(v));
+    }
+    fd.process_chunk(x, yd);
+    fd.finish(yd);
+    fq.process_chunk(xq, yq);
+    fq.finish(yq);
+    double worst = 0.0;
+    for (std::size_t i = 0; i < yd.size(); ++i)
+      worst = std::max(worst, std::abs(yd[i] - dsp::Q31Backend::to_real(yq[i])));
+    std::cout << "worst |double - Q31| over 20 s of noise: " << worst
               << " of full scale\n(a ~17x MAC-cost reduction on the FPU-less Cortex-M3; "
                  "see platform::McuConfig)\n";
   }

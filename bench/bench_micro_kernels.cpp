@@ -107,26 +107,6 @@ typename B::sample_t bsample(double x) {
 }
 
 template <typename B>
-void BM_StreamingSosTick(benchmark::State& state) {
-  dsp::DenormalGuard guard;
-  dsp::BasicStreamingSos<B> sos(dsp::butterworth_lowpass(4, 20.0, kFs));
-  const auto x = test_signal(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    typename B::sample_t acc = bsample<B>(0.0);
-    for (const double v : x) acc = acc + sos.tick(bsample<B>(v));
-    benchmark::DoNotOptimize(acc);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) *
-                          static_cast<std::int64_t>(B::kLanes));
-  state.SetLabel(B::kLanes > 1 ? std::string("batch W=") + std::to_string(B::kLanes) +
-                                     " [" + dsp::lane_isa() + "]"
-                               : "scalar");
-}
-BENCHMARK_TEMPLATE(BM_StreamingSosTick, dsp::DoubleBackend)->Arg(7500);
-BENCHMARK_TEMPLATE(BM_StreamingSosTick, dsp::BatchBackend<4>)->Arg(7500);
-BENCHMARK_TEMPLATE(BM_StreamingSosTick, dsp::BatchBackend<8>)->Arg(7500);
-
-template <typename B>
 void BM_StreamingZeroPhaseFirPush(benchmark::State& state) {
   dsp::DenormalGuard guard;
   dsp::BasicStreamingZeroPhaseFir<B> fir(dsp::design_lowpass(30, 20.0, kFs));

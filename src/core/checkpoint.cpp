@@ -11,25 +11,21 @@ namespace icgkit::core {
 
 namespace {
 
-// Standard CRC-32 (IEEE 802.3, reflected 0xEDB88320), computed
-// slice-by-8: eight derived tables let the hot loop fold 8 input bytes
-// per iteration instead of 1. Produces bit-identical CRCs to the
-// classic single-table walk (the golden checkpoint fixtures pin them);
-// only the throughput changes, which matters because every flight
-// recorder section is CRC'd on both the record and replay paths.
-// constexpr so the 8 KiB of tables live in .rodata (flash on the
-// firmware profile) rather than eating the static-RAM budget as a
-// runtime-initialised function-local static would.
-constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
-  std::array<std::array<std::uint32_t, 256>, 8> t{};
+// Standard CRC-32 (IEEE 802.3, reflected 0xEDB88320), one table
+// lookup per byte. On x86 hosts with PCLMUL every run of 64 bytes or
+// more is folded by crc32_clmul below, so this walk only finishes tails
+// and short sections. Elsewhere it does the whole job: a firmware
+// verifies a blob rarely, and one 1 KiB table costs it 7 KiB less flash
+// than slice-by-8's eight. constexpr so the table lives in .rodata
+// (flash on the firmware profile) rather than eating the static-RAM
+// budget as a runtime-initialised function-local static would.
+constexpr std::array<std::uint32_t, 256> make_crc_table() {
+  std::array<std::uint32_t, 256> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    t[0][i] = c;
+    t[i] = c;
   }
-  for (std::uint32_t i = 0; i < 256; ++i)
-    for (std::size_t s = 1; s < 8; ++s)
-      t[s][i] = t[0][t[s - 1][i] & 0xFFu] ^ (t[s - 1][i] >> 8);
   return t;
 }
 
@@ -120,11 +116,11 @@ bool cpu_has_clmul() {
 } // namespace
 
 std::uint32_t checkpoint_crc32(const std::uint8_t* data, std::size_t n) {
-  static constexpr auto t = make_crc_tables();
+  static constexpr auto t = make_crc_table();
   std::uint32_t crc = 0xFFFFFFFFu;
 #if defined(ICGKIT_CRC_CLMUL)
   // The folded kernel needs a 16-byte-multiple length of at least 64;
-  // the slice-by-8 path below finishes the tail.
+  // the table walk below finishes the tail.
   if (const std::size_t folded = n & ~std::size_t{15};
       folded >= 64 && cpu_has_clmul()) {
     crc = crc32_clmul(data, folded, crc);
@@ -132,19 +128,8 @@ std::uint32_t checkpoint_crc32(const std::uint8_t* data, std::size_t n) {
     n -= folded;
   }
 #endif
-  while (n >= 8) {
-    crc ^= static_cast<std::uint32_t>(data[0]) |
-           (static_cast<std::uint32_t>(data[1]) << 8) |
-           (static_cast<std::uint32_t>(data[2]) << 16) |
-           (static_cast<std::uint32_t>(data[3]) << 24);
-    crc = t[7][crc & 0xFFu] ^ t[6][(crc >> 8) & 0xFFu] ^
-          t[5][(crc >> 16) & 0xFFu] ^ t[4][crc >> 24] ^ t[3][data[4]] ^
-          t[2][data[5]] ^ t[1][data[6]] ^ t[0][data[7]];
-    data += 8;
-    n -= 8;
-  }
   for (std::size_t i = 0; i < n; ++i)
-    crc = t[0][(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+    crc = t[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 

@@ -88,8 +88,8 @@ struct FleetConfig {
   double window_s = 12.0;
   /// SIMD batch mode (core::SessionBatch): 0 (the default) auto-selects
   /// the widest lockstep width this build's ISA runs without register
-  /// spills — 4 on plain AVX2, 8 on AVX-512 or NEON, scalar on builds
-  /// whose lane vector lowers to SSE2 or scalar code (see
+  /// spills — 8 on AVX2, AVX-512 or NEON, scalar on builds whose lane
+  /// vector lowers to SSE2 or scalar code (see
   /// dsp::default_batch_width; the chosen value is readable via
   /// SessionManager::resolved_batch_width). 1 forces every session onto
   /// its own scalar engine; 4 or 8 makes start() group that many

@@ -26,35 +26,6 @@ void serialize_beats(std::span<const BeatRecord> beats,
   for (const BeatRecord& rec : beats) serialize_beat(rec, out);
 }
 
-template <typename W>
-void write_summary(W& w, const QualitySummary& s) {
-  w.u64(s.beats);
-  w.u64(s.usable);
-  for (const std::uint64_t c : s.flaw_counts) w.u64(c);
-  w.u64(s.ecg_dropouts);
-  w.u64(s.z_dropouts);
-  w.u64(s.detector_resets);
-  w.u64(s.ensemble_folds_skipped);
-  w.u64(s.snr_beats);
-  w.f64(s.sum_snr_db);
-  w.f64(s.min_snr_db);
-}
-
-QualitySummary read_summary(StateReader& r) {
-  QualitySummary s;
-  s.beats = r.u64();
-  s.usable = r.u64();
-  for (std::uint64_t& c : s.flaw_counts) c = r.u64();
-  s.ecg_dropouts = r.u64();
-  s.z_dropouts = r.u64();
-  s.detector_resets = r.u64();
-  s.ensemble_folds_skipped = r.u64();
-  s.snr_beats = r.u64();
-  s.sum_snr_db = r.f64();
-  s.min_snr_db = r.f64();
-  return s;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -181,7 +152,7 @@ void FlightRecorder::record_end(std::span<const BeatRecord> tail,
   w.u32(static_cast<std::uint32_t>(beat_bytes_.size()));
   w.bytes(reinterpret_cast<const std::uint8_t*>(beat_bytes_.data()),
           beat_bytes_.size());
-  write_summary(w, summary);
+  summary.save_state(w);
   w.u64(samples);
   w.u64(chunks_);
   w.end_section();
@@ -279,7 +250,7 @@ bool FlightReader::next(Event& ev) {
     if (tail_len % beat_record_bytes() != 0)
       r_.fail("flight record: tail byte length is not a whole record count");
     ev.beat_bytes = r_.bytes(tail_len);
-    ev.summary = read_summary(r_);
+    ev.summary.load_state(r_);
     ev.samples = r_.u64();
     ev.total_chunks = r_.u64();
     if (ev.total_chunks != expect_chunk_)

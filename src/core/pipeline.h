@@ -307,29 +307,11 @@ class BeatAssembler {
 
   template <typename W>
   void save_qsum_body(W& w) const {
-    w.u64(summary_.beats);
-    w.u64(summary_.usable);
-    for (const std::uint64_t c : summary_.flaw_counts) w.u64(c);
-    w.u64(summary_.ecg_dropouts);
-    w.u64(summary_.z_dropouts);
-    w.u64(summary_.detector_resets);
-    w.u64(summary_.ensemble_folds_skipped);
-    w.u64(summary_.snr_beats);
-    w.f64(summary_.sum_snr_db);
-    w.f64(summary_.min_snr_db);
+    summary_.save_state(w);
   }
   template <typename R>
   void load_qsum_body(R& r) {
-    summary_.beats = r.u64();
-    summary_.usable = r.u64();
-    for (std::uint64_t& c : summary_.flaw_counts) c = r.u64();
-    summary_.ecg_dropouts = r.u64();
-    summary_.z_dropouts = r.u64();
-    summary_.detector_resets = r.u64();
-    summary_.ensemble_folds_skipped = r.u64();
-    summary_.snr_beats = r.u64();
-    summary_.sum_snr_db = r.f64();
-    summary_.min_snr_db = r.f64();
+    summary_.load_state(r);
   }
 
   template <typename W>

@@ -129,6 +129,38 @@ struct QualitySummary {
   /// Merges another summary (e.g. aggregating a whole fleet).
   void merge(const QualitySummary& other);
 
+  /// Writes every field in declaration order: the one layout of the
+  /// QSUM checkpoint section, the flight recorder's FINI summary and the
+  /// wire QUAL payload. Duck-typed over the writer, like the kernels'
+  /// save_state.
+  template <typename W>
+  void save_state(W& w) const {
+    w.u64(beats);
+    w.u64(usable);
+    for (const std::uint64_t c : flaw_counts) w.u64(c);
+    w.u64(ecg_dropouts);
+    w.u64(z_dropouts);
+    w.u64(detector_resets);
+    w.u64(ensemble_folds_skipped);
+    w.u64(snr_beats);
+    w.f64(sum_snr_db);
+    w.f64(min_snr_db);
+  }
+
+  template <typename R>
+  void load_state(R& r) {
+    beats = r.u64();
+    usable = r.u64();
+    for (std::uint64_t& c : flaw_counts) c = r.u64();
+    ecg_dropouts = r.u64();
+    z_dropouts = r.u64();
+    detector_resets = r.u64();
+    ensemble_folds_skipped = r.u64();
+    snr_beats = r.u64();
+    sum_snr_db = r.f64();
+    min_snr_db = r.f64();
+  }
+
   [[nodiscard]] double usable_fraction() const {
     return beats > 0 ? static_cast<double>(usable) / static_cast<double>(beats) : 0.0;
   }

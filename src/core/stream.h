@@ -1,12 +1,12 @@
 // Shared single-pass streaming infrastructure for the beat pipeline.
 //
-// Every stage consumes one sample per push() and appends zero or more
-// *delay-compensated* output samples: output index i always corresponds
-// to input index i, it is just emitted latency() samples later. finish()
-// flushes the tail so a stream of n inputs always yields exactly n
-// outputs. Because each stage's state advances one sample at a time, the
-// composed pipeline is chunk-size invariant: any segmentation of the
-// input produces bit-identical output, which is what lets
+// Every stage consumes a chunk per process_chunk() and appends zero or
+// more *delay-compensated* output samples: output index i always
+// corresponds to input index i, it is just emitted latency() samples
+// later. finish() flushes the tail so a stream of n inputs always yields
+// exactly n outputs. Because each stage's state advances one sample at a
+// time, the composed pipeline is chunk-size invariant: any segmentation
+// of the input produces bit-identical output, which is what lets
 // BeatPipeline::process be a thin one-big-chunk wrapper around
 // StreamingBeatPipeline (see pipeline.h).
 //
@@ -55,30 +55,12 @@ class BasicEcgCleanerStage {
     if (cfg.enable_fir_stage) fir_.emplace(ecg_cleaner_fir_kernel(fs, cfg));
   }
 
-  void push(sample_t x, std::vector<sample_t>& out) {
-    if (!morph_.has_value()) {
-      if (fir_.has_value())
-        fir_->push(x, out);
-      else
-        out.push_back(x);
-      return;
-    }
-    if (!fir_.has_value()) {
-      morph_->push(x, out);
-      return;
-    }
-    scratch_.clear();
-    morph_->push(x, scratch_);
-    for (const sample_t v : scratch_) fir_->push(v, out);
-  }
-
-  /// Fused per-chunk form of push(): one pass per sub-stage over the
-  /// whole chunk instead of a per-sample morph->FIR dispatch chain. For
+  /// Feeds a chunk, one pass per sub-stage over the whole chunk. For
   /// every input sample appends one entry to `cum`: the absolute size of
   /// `out` after that sample's outputs (callers slice per-input output
-  /// ranges as [cum[i-1], cum[i])). Byte-identical to calling push() per
-  /// sample — each sub-stage sees the identical input sequence, only the
-  /// interleaving of *stage* work changes, never the order within a
+  /// ranges as [cum[i-1], cum[i])). Chunk-size invariant: each sub-stage
+  /// sees the identical input sequence whatever the segmentation, only
+  /// the interleaving of *stage* work changes, never the order within a
   /// stage.
   void process_chunk(std::span<const sample_t> x, std::vector<sample_t>& out,
                      std::vector<std::uint32_t>& cum) {
@@ -123,11 +105,6 @@ class BasicEcgCleanerStage {
     }
     if (morph_.has_value()) morph_->finish(out);
     if (fir_.has_value()) fir_->finish(out);
-  }
-
-  void reset() {
-    if (morph_.has_value()) morph_->reset();
-    if (fir_.has_value()) fir_->reset();
   }
 
   /// Serializes the enabled sub-stages for core::Checkpoint round trips;
@@ -199,32 +176,19 @@ class BasicIcgConditionerStage {
     }
   }
 
-  void push(sample_t x, std::vector<sample_t>& out) {
-    const std::size_t j = z_count_++;
-    // ICG = -dZ/dt with the batch derivative() stencil: the aligned central
-    // difference needs one sample of lookahead, the first sample uses the
-    // forward difference.
-    if (j == 1)
-      on_derivative(B::rescale(B::neg(B::sub(x, prev_[1])), fs_, gain_log2_), out);
-    else if (j >= 2)
-      on_derivative(B::half(B::rescale(B::neg(B::sub(x, prev_[0])), fs_, gain_log2_)),
-                    out);
-    prev_[0] = prev_[1];
-    prev_[1] = x;
-  }
-
-  /// Fused per-chunk form of push(): derivative stencil, low-pass FIR
-  /// and baseline high-pass each run as one flat pass over the chunk
-  /// instead of a per-sample lambda dispatch chain. Appends one `cum`
-  /// entry per input sample: the absolute size of `out` after that
-  /// sample's outputs. Byte-identical to the per-sample path — every
-  /// sub-stage consumes the identical sample sequence in the identical
-  /// order.
+  /// Feeds a chunk: derivative stencil, low-pass FIR and baseline
+  /// high-pass each run as one flat pass over the chunk. Appends one
+  /// `cum` entry per input sample: the absolute size of `out` after that
+  /// sample's outputs. Chunk-size invariant: every sub-stage consumes the
+  /// identical sample sequence in the identical order.
   void process_chunk(std::span<const sample_t> x, std::vector<sample_t>& out,
                      std::vector<std::uint32_t>& cum) {
     d_arena_.clear();
     d_cum_.clear();
     for (const sample_t v : x) {
+      // ICG = -dZ/dt with the batch derivative() stencil: the aligned
+      // central difference needs one sample of lookahead, the first
+      // sample uses the forward difference.
       const std::size_t j = z_count_++;
       if (j == 1)
         d_arena_.push_back(B::rescale(B::neg(B::sub(v, prev_[1])), fs_, gain_log2_));
@@ -269,13 +233,6 @@ class BasicIcgConditionerStage {
     lp_.finish(lp_scratch_);
     for (const sample_t v : lp_scratch_) on_lowpassed(v, out);
     if (hp_.has_value()) hp_->finish(out);
-  }
-
-  void reset() {
-    lp_.reset();
-    if (hp_.has_value()) hp_->reset();
-    prev_[0] = prev_[1] = sample_t{};
-    z_count_ = 0;
   }
 
   /// Serializes the low-pass/high-pass kernels and the derivative

@@ -1,6 +1,6 @@
 // Numeric backends for the streaming kernel layer.
 //
-// Every stateful streaming kernel (StreamingSos/Fir/ZeroPhaseFir, the
+// Every stateful streaming kernel (the zero-phase FIR and high-pass, the
 // moving/morphology kernels, the derivative stages, Pan-Tompkins'
 // threshold state and the pipeline stage compositions) is a template over
 // one of these policy types, so the same control flow runs either in
@@ -63,7 +63,6 @@ struct DoubleBackend {
 
   // -- accumulator ops --
   static acc_t acc_zero() { return 0.0; }
-  static acc_t widen(sample_t v) { return v; }
   static acc_t acc_add(acc_t a, sample_t v) { return a + v; }
   static acc_t acc_sub(acc_t a, sample_t v) { return a - v; }
   static acc_t mac(acc_t a, coeff_t c, sample_t v) { return a + c * v; }
@@ -106,24 +105,6 @@ struct DoubleBackend {
     const double frac = static_cast<double>(num) / static_cast<double>(den);
     return a + (b - a) * frac;
   }
-
-  // -- biquad section (transposed direct form II), the StreamingSos core --
-  struct SosState {
-    acc_t s1 = 0.0, s2 = 0.0;
-  };
-  /// One section step. Sections exchange wide (acc_t) values; the cascade
-  /// narrows once at the end (see BasicStreamingSos::tick).
-  static acc_t biquad_tick(coeff_t b0, coeff_t b1, coeff_t b2, coeff_t a1,
-                           coeff_t a2, SosState& st, acc_t v) {
-    const double out = b0 * v + st.s1;
-    st.s1 = b1 * v - a1 * out + st.s2;
-    st.s2 = b2 * v - a2 * out;
-    return out;
-  }
-  /// Cascade output gain. The double backend applies it as the final
-  /// multiply it always was; the fixed backend folds it into the first
-  /// section's numerator at quantization time (see BasicStreamingSos).
-  static sample_t apply_gain(sample_t v, double gain) { return v * gain; }
 };
 
 /// Q1.31 fixed-point backend: 32-bit samples, Q2.30 coefficients, 64-bit
@@ -154,7 +135,7 @@ struct Q31Backend {
   }
   static double to_real(sample_t v) { return static_cast<double>(v) / kOne; }
   /// Coefficient in [-2, 2) -> Q2.30. Throws outside the representable
-  /// range, like the original FixedSosFilter quantizer.
+  /// range (NaN included).
   static coeff_t coeff(double c) {
     if (!(c >= -2.0 && c < 2.0))
       ICGKIT_THROW(std::invalid_argument("Q31Backend: coefficient outside Q2.30 range"));
@@ -163,7 +144,6 @@ struct Q31Backend {
 
   // -- accumulator ops --
   static acc_t acc_zero() { return 0; }
-  static acc_t widen(sample_t v) { return v; }
   static acc_t acc_add(acc_t a, sample_t v) { return a + v; }
   static acc_t acc_sub(acc_t a, sample_t v) { return a - v; }
   /// Q2.30 coefficient times Q1.31 sample, accumulated at Q1.31: the
@@ -218,28 +198,6 @@ struct Q31Backend {
     const acc_t d = static_cast<acc_t>(b) - a;
     return saturate(a + d * static_cast<acc_t>(num) / static_cast<acc_t>(den));
   }
-
-  // -- biquad section --
-  struct SosState {
-    acc_t s1 = 0, s2 = 0;
-  };
-  static acc_t biquad_tick(coeff_t b0, coeff_t b1, coeff_t b2, coeff_t a1,
-                           coeff_t a2, SosState& st, acc_t v) {
-    // Same Q2.30 x Q1.31 >> 30 MAC chain as the original FixedSosFilter
-    // cascade_step; values stay 64-bit between sections so intermediate
-    // overshoot keeps its headroom, and only the cascade's final output
-    // saturates to Q1.31 (the Cortex-M SSAT semantics).
-    const acc_t out = st.s1 + ((static_cast<acc_t>(b0) * v) >> 30);
-    st.s1 = st.s2 + ((static_cast<acc_t>(b1) * v) >> 30) -
-            ((static_cast<acc_t>(a1) * out) >> 30);
-    st.s2 = ((static_cast<acc_t>(b2) * v) >> 30) -
-            ((static_cast<acc_t>(a2) * out) >> 30);
-    return out;
-  }
-  static sample_t apply_gain(sample_t v, double gain) {
-    (void)gain; // folded into the first section's numerator at quantization
-    return v;
-  }
 };
 
 /// SIMD batch backend: W double lanes advancing in lockstep, one lane
@@ -277,7 +235,6 @@ struct BatchBackend {
 
   // -- accumulator ops (elementwise DoubleBackend expressions) --
   static acc_t acc_zero() { return acc_t{}; }
-  static acc_t widen(sample_t v) { return v; }
   static acc_t acc_add(acc_t a, sample_t v) { return a + v; }
   static acc_t acc_sub(acc_t a, sample_t v) { return a - v; }
   static acc_t mac(acc_t a, coeff_t c, sample_t v) { return a + c * v; }
@@ -314,19 +271,6 @@ struct BatchBackend {
     const double frac = static_cast<double>(num) / static_cast<double>(den);
     return a + (b - a) * frac;
   }
-
-  // -- biquad section --
-  struct SosState {
-    acc_t s1{}, s2{};
-  };
-  static acc_t biquad_tick(coeff_t b0, coeff_t b1, coeff_t b2, coeff_t a1,
-                           coeff_t a2, SosState& st, acc_t v) {
-    const acc_t out = b0 * v + st.s1;
-    st.s1 = b1 * v - a1 * out + st.s2;
-    st.s2 = b2 * v - a2 * out;
-    return out;
-  }
-  static sample_t apply_gain(sample_t v, double gain) { return v * gain; }
 };
 
 /// True for backends whose sample_t carries multiple lockstep lanes.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "support/contract.h"
 
@@ -82,16 +83,29 @@ FirCoefficients zero_phase_sos_kernel(const SosFilter& filter, double tol,
     ICGKIT_THROW(std::invalid_argument("zero_phase_sos_kernel: empty cascade"));
   if (tol <= 0.0 || tol >= 1.0)
     ICGKIT_THROW(std::invalid_argument("zero_phase_sos_kernel: tol must be in (0, 1)"));
-  // Impulse response of the causal cascade (gain included once; the
-  // autocorrelation below squares it, matching two filtfilt passes).
-  StreamingSos sim(filter);
+  // Impulse response of the causal cascade: transposed direct form II
+  // sections, gain applied once at the output (the autocorrelation below
+  // squares it, matching two filtfilt passes).
+  struct SectionState {
+    double s1 = 0.0, s2 = 0.0;
+  };
+  std::vector<SectionState> state(filter.sections.size());
   Signal h;
   double peak = 0.0;
   std::size_t quiet = 0;
   constexpr std::size_t kQuietNeeded = 64;
   const std::size_t sim_cap = 4 * max_half_len + kQuietNeeded;
   for (std::size_t n = 0; n < sim_cap; ++n) {
-    const double v = sim.tick(n == 0 ? 1.0 : 0.0);
+    double v = n == 0 ? 1.0 : 0.0;
+    for (std::size_t i = 0; i < state.size(); ++i) {
+      const Biquad& s = filter.sections[i];
+      SectionState& st = state[i];
+      const double out = s.b0 * v + st.s1;
+      st.s1 = s.b1 * v - s.a1 * out + st.s2;
+      st.s2 = s.b2 * v - s.a2 * out;
+      v = out;
+    }
+    v *= filter.gain;
     if (!std::isfinite(v) || std::abs(v) > 1e9)
       ICGKIT_THROW(std::invalid_argument("zero_phase_sos_kernel: cascade is unstable"));
     h.push_back(v);

@@ -176,16 +176,6 @@ class BasicStreamingZeroPhaseFir {
     }
   }
 
-  void reset() {
-    std::fill(line_.begin(), line_.end(), sample_t{});
-    head_ = 0;
-    fed_ = 0;
-    raw_count_ = 0;
-    warmup_.clear();
-    std::fill(tail_.begin(), tail_.end(), sample_t{});
-    warm_ = false;
-  }
-
   /// Feeds a chunk, recording the cumulative output count after each
   /// input: cum[k] - (entry count) outputs exist once x[0..k] has been
   /// consumed. The counts are what lets a caller that batches the stage

@@ -1,5 +1,6 @@
 #include "dsp/fir_design.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <numbers>

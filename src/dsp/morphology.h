@@ -93,12 +93,6 @@ class BasicStreamingExtremum {
     while (emitted_ < pushed_) emit_center(emitted_, out);
   }
 
-  void reset() {
-    dq_.clear();
-    pushed_ = 0;
-    emitted_ = 0;
-  }
-
   /// Serializes the monotonic deque and the input/output counters for
   /// core::Checkpoint round trips; load_state() rejects blobs whose
   /// structuring-element width differs.
@@ -196,12 +190,6 @@ class BatchStreamingExtremum {
 
   void finish(std::vector<sample_t>& out) {
     while (emitted_ < pushed_) emit_center(emitted_, out);
-  }
-
-  void reset() {
-    for (auto& dq : lanes_) dq.clear();
-    pushed_ = 0;
-    emitted_ = 0;
   }
 
   /// Lane-adaptor serialization: lane i's deque is written to w.lane_writer(i)
@@ -341,14 +329,6 @@ class BasicStreamingBaselineRemover {
     close_erode_.finish(scratch2_);
     for (const sample_t baseline : scratch2_)
       out.push_back(B::sub(raw_delay_.pop(), baseline));
-  }
-
-  void reset() {
-    open_erode_.reset();
-    open_dilate_.reset();
-    close_dilate_.reset();
-    close_erode_.reset();
-    raw_delay_.clear();
   }
 
   /// Serializes the four extremum stages plus the delayed-input ring for

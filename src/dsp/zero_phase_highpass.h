@@ -97,18 +97,6 @@ class BasicStreamingZeroPhaseHighpass {
     while (next_out_ < in_count_) emit(prev_u_, out);
   }
 
-  void reset() {
-    base_.reset();
-    raw_.clear();
-    u_scratch_.clear();
-    block_acc_ = B::acc_zero();
-    block_fill_ = 0;
-    in_count_ = 0;
-    next_out_ = 0;
-    u_count_ = 0;
-    prev_u_ = sample_t{};
-  }
-
   /// Serializes the baseline kernel, the pending-input ring, the partial
   /// block accumulator and the interpolation cursors for core::Checkpoint
   /// round trips; load_state() rejects blobs with a different decimation.

@@ -153,25 +153,6 @@ class QrsDecisionTail {
     // must keep holding across the reset.
   }
 
-  void reset() {
-    mwi_ring_.clear();
-    mwi_produced_ = 0;
-    in_ring_.clear();
-    in_count_ = 0;
-    pending_.reset();
-    learned_ = false;
-    learn_start_ = 0;
-    learn_end_ = learn_window_;
-    prelearn_.clear();
-    spki_ = npki_ = sample_t{};
-    last_accepted_.reset();
-    last_accepted_slope_ = sample_t{};
-    rr_history_.clear();
-    rejected_since_.clear();
-    last_r_.reset();
-    peaks_emitted_ = 0;
-  }
-
   [[nodiscard]] std::size_t samples_consumed() const { return in_count_; }
   [[nodiscard]] std::size_t peaks_emitted() const { return peaks_emitted_; }
 
@@ -570,16 +551,6 @@ class BasicOnlinePanTompkins {
   }
 
   void finish(std::vector<std::size_t>& out) requires(kLanes == 1) { finish(&out); }
-
-  void reset() {
-    bp_.reset();
-    mwi_.reset();
-    bp_scratch_.clear();
-    std::fill(std::begin(bp_hist_), std::end(bp_hist_), sample_t{});
-    bp_count_ = 0;
-    d_emitted_ = 0;
-    for (Tail& t : tails_) t.reset();
-  }
 
   /// Samples consumed per lane (identical across lanes, by lockstep).
   [[nodiscard]] std::size_t samples_consumed() const { return tails_[0].samples_consumed(); }

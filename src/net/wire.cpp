@@ -206,31 +206,11 @@ core::BeatRecord decode_beat(PayloadReader& r) {
   return rec;
 }
 
-void encode_quality(core::StateWriter& w, const core::QualitySummary& q) {
-  w.u64(q.beats);
-  w.u64(q.usable);
-  for (std::size_t i = 0; i < core::kBeatFlawCount; ++i) w.u64(q.flaw_counts[i]);
-  w.u64(q.ecg_dropouts);
-  w.u64(q.z_dropouts);
-  w.u64(q.detector_resets);
-  w.u64(q.ensemble_folds_skipped);
-  w.u64(q.snr_beats);
-  w.f64(q.sum_snr_db);
-  w.f64(q.min_snr_db);
-}
+void encode_quality(core::StateWriter& w, const core::QualitySummary& q) { q.save_state(w); }
 
 core::QualitySummary decode_quality(PayloadReader& r) {
   core::QualitySummary q;
-  q.beats = r.u64();
-  q.usable = r.u64();
-  for (std::size_t i = 0; i < core::kBeatFlawCount; ++i) q.flaw_counts[i] = r.u64();
-  q.ecg_dropouts = r.u64();
-  q.z_dropouts = r.u64();
-  q.detector_resets = r.u64();
-  q.ensemble_folds_skipped = r.u64();
-  q.snr_beats = r.u64();
-  q.sum_snr_db = r.f64();
-  q.min_snr_db = r.f64();
+  q.load_state(r);
   return q;
 }
 

@@ -146,8 +146,8 @@ void expect_roundtrip_identity(const synth::Recording& rec, std::size_t chunk,
 // ---------------------------------------------------------------------------
 
 // checkpoint_crc32 dispatches between a carry-less-multiply kernel
-// (long 16-byte-aligned spans), slice-by-8, and a plain table walk for
-// tails. All of them must agree with the textbook bit-at-a-time IEEE
+// (long 16-byte-aligned spans) and a plain table walk for tails and
+// short input. Both must agree with the textbook bit-at-a-time IEEE
 // CRC-32 on every length, or old blobs stop validating — so sweep
 // lengths across all dispatch boundaries against an independent
 // bitwise reference.

@@ -1,15 +1,11 @@
 #include "core/ensemble.h"
-#include "dsp/fixed_point.h"
+#include "dsp/backend.h"
 
-#include "dsp/butterworth.h"
 #include "dsp/stats.h"
 #include "synth/artifacts.h"
 #include "synth/icg_synth.h"
 
 #include <gtest/gtest.h>
-
-#include <cmath>
-#include <numbers>
 
 namespace icgkit {
 namespace {
@@ -123,48 +119,14 @@ TEST(EnsembleTest, RejectsBadConfig) {
   EXPECT_THROW(core::EnsembleAverager(kFs, {.window_beats = 0}), std::invalid_argument);
 }
 
-TEST(FixedPointTest, MatchesDoubleOnPaperIcgFilter) {
-  const dsp::SosFilter lp = dsp::butterworth_lowpass(4, 20.0, kFs);
-  dsp::Signal x(2000);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double t = static_cast<double>(i) / kFs;
-    x[i] = 0.5 * std::sin(2.0 * std::numbers::pi * 3.0 * t) +
-           0.2 * std::sin(2.0 * std::numbers::pi * 30.0 * t);
-  }
-  // Q31 tracks the double path to ~1e-6 of full scale.
-  EXPECT_LT(dsp::fixed_point_error(lp, x), 2e-6);
-}
-
-TEST(FixedPointTest, MatchesDoubleOnPanTompkinsBand) {
-  const dsp::SosFilter bp = dsp::butterworth_bandpass(2, 5.0, 15.0, kFs);
-  dsp::Signal x(1500);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    x[i] = 0.8 * std::sin(2.0 * std::numbers::pi * 10.0 * static_cast<double>(i) / kFs);
-  EXPECT_LT(dsp::fixed_point_error(bp, x), 5e-6);
-}
-
 TEST(FixedPointTest, RejectsOutOfRangeCoefficients) {
-  dsp::SosFilter f;
-  f.sections.push_back(dsp::Biquad{3.0, 0.0, 0.0, 0.0, 0.0}); // b0 = 3 > Q2.30 max
-  EXPECT_THROW(dsp::FixedSosFilter{f}, std::invalid_argument);
-}
-
-TEST(FixedPointTest, StableOverLongRuns) {
-  // No limit cycles blowing up over a minute of signal.
-  const dsp::SosFilter lp = dsp::butterworth_lowpass(4, 20.0, kFs);
-  const dsp::FixedSosFilter fixed(lp);
-  dsp::Signal x(15000);
-  synth::Rng rng(8);
-  for (auto& v : x) v = 0.3 * rng.normal();
-  const dsp::Signal y = fixed.apply(x);
-  for (const double v : y) EXPECT_LT(std::abs(v), 1.0);
+  // The Q2.30 quantizer every Q31 FIR tap goes through: 3 lies outside [-2, 2).
+  EXPECT_THROW(dsp::Q31Backend::coeff(3.0), std::invalid_argument);
 }
 
 TEST(FixedPointTest, QuantizationRoundTrip) {
-  const dsp::Biquad s{0.51, -0.49, 0.25, -1.51, 0.76};
-  const dsp::FixedBiquad q = dsp::FixedBiquad::from(s);
-  EXPECT_NEAR(static_cast<double>(q.b0) / 1073741824.0, 0.51, 1e-9);
-  EXPECT_NEAR(static_cast<double>(q.a1) / 1073741824.0, -1.51, 1e-9);
+  for (const double c : {0.51, -0.49, 0.25, -1.51, 0.76})
+    EXPECT_NEAR(static_cast<double>(dsp::Q31Backend::coeff(c)) / 1073741824.0, c, 1e-9);
 }
 
 } // namespace

@@ -86,31 +86,6 @@ TEST(Q31BackendTest, SquareAndLerpMatchDouble) {
               -0.2 + (0.6 - -0.2) * 3.0 / 8.0, 1e-8);
 }
 
-TEST(Q31KernelTest, StreamingFirTracksDouble) {
-  const FirCoefficients fir = design_lowpass(24, 30.0, kFs);
-  BasicStreamingFir<DoubleBackend> fd(fir);
-  BasicStreamingFir<Q31Backend> fq(fir);
-  const Signal x = test_tone(1200);
-  for (const double v : x) {
-    const double yd = fd.tick(v);
-    const double yq = Q31Backend::to_real(fq.tick(Q31Backend::from_real(v)));
-    EXPECT_NEAR(yq, yd, 1e-6);
-  }
-}
-
-TEST(Q31KernelTest, StreamingSosGainFoldingMatchesDouble) {
-  SosFilter lp = butterworth_lowpass(4, 20.0, kFs);
-  lp.gain *= 0.5; // non-trivial gain exercises the fixed-path folding
-  BasicStreamingSos<DoubleBackend> sd(lp);
-  BasicStreamingSos<Q31Backend> sq(lp);
-  const Signal x = test_tone(1500);
-  for (const double v : x) {
-    const double yd = sd.tick(v);
-    const double yq = Q31Backend::to_real(sq.tick(Q31Backend::from_real(v)));
-    EXPECT_NEAR(yq, yd, 2e-6);
-  }
-}
-
 TEST(Q31KernelTest, MovingAverageTracksDoubleAndNeverAllocatesWide) {
   BasicStreamingMovingAverage<DoubleBackend> md(37);
   BasicStreamingMovingAverage<Q31Backend> mq(37);

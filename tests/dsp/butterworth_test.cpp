@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numbers>
 
 namespace icgkit::dsp {
 namespace {
@@ -109,18 +108,6 @@ TEST(ButterworthTest, ImpulseResponseDecays) {
   double tail = 0.0;
   for (std::size_t i = 1000; i < h.size(); ++i) tail += std::abs(h[i]);
   EXPECT_LT(tail, 1e-9);
-}
-
-TEST(ButterworthTest, StreamingMatchesBatch) {
-  const SosFilter f = butterworth_lowpass(4, 20.0, kFs);
-  Signal x(500);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    x[i] = std::sin(2.0 * std::numbers::pi * 7.0 * static_cast<double>(i) / kFs) +
-           0.3 * std::cos(2.0 * std::numbers::pi * 33.0 * static_cast<double>(i) / kFs);
-  const Signal batch = sos_apply(f, x);
-  StreamingSos stream(f);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    EXPECT_NEAR(stream.process(x[i]), batch[i], 1e-10) << "i=" << i;
 }
 
 class ButterCutoffSweep : public ::testing::TestWithParam<double> {};

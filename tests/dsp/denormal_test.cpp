@@ -1,11 +1,12 @@
-// DenormalGuard: flush-to-zero hygiene for IIR tails.
+// DenormalGuard: flush-to-zero hygiene for decaying tails.
 //
 // After an impulse, an IIR filter's state decays geometrically and —
 // without FTZ/DAZ — eventually lingers in subnormal territory, where
 // many cores take a microcode assist per multiply. The guard trades that
 // tail (worthless at this application's accuracy budget) for flat
-// per-sample cost. The test drives a real pipeline filter's tail deep
-// past the normal range and asserts the state never goes subnormal
+// per-sample cost. The test drives the impulse response of the paper's
+// 20 Hz ICG Butterworth (the cascade the ICG low-pass kernel is designed
+// from) deep past the normal range and asserts it never goes subnormal
 // while the guard is engaged, and that the guard restores the previous
 // FPU mode on scope exit.
 #include "dsp/denormal.h"
@@ -27,10 +28,11 @@ bool is_subnormal(double x) { return std::fpclassify(x) == FP_SUBNORMAL; }
 // Feeds an impulse then zeros through the paper's ICG low-pass and
 // reports whether any output sample of the decay tail was subnormal.
 bool tail_produces_subnormals(std::size_t zeros) {
-  dsp::StreamingSos sos(dsp::butterworth_lowpass(4, 20.0, 250.0));
-  (void)sos.tick(1.0);
+  dsp::Signal impulse(1 + zeros, 0.0);
+  impulse[0] = 1.0;
+  const dsp::Signal y = dsp::sos_apply(dsp::butterworth_lowpass(4, 20.0, 250.0), impulse);
   bool seen = false;
-  for (std::size_t i = 0; i < zeros; ++i) seen |= is_subnormal(sos.tick(0.0));
+  for (std::size_t i = 1; i < y.size(); ++i) seen |= is_subnormal(y[i]);
   return seen;
 }
 

@@ -83,25 +83,6 @@ TEST(FirDesignTest, RejectsBadArguments) {
   EXPECT_THROW(design_bandpass(32, 10.0, 1.0, kFs), std::invalid_argument);
 }
 
-TEST(FirDesignTest, ApplyMatchesStreaming) {
-  const auto fir = design_lowpass(16, 30.0, kFs);
-  const Signal x = sine(10.0, kFs, 200);
-  const Signal batch = fir_apply(fir, x);
-  StreamingFir stream(fir);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    EXPECT_NEAR(stream.process(x[i]), batch[i], 1e-12) << "i=" << i;
-  }
-}
-
-TEST(FirDesignTest, StreamingResetClearsState) {
-  const auto fir = design_lowpass(16, 30.0, kFs);
-  StreamingFir stream(fir);
-  for (int i = 0; i < 50; ++i) stream.process(1.0);
-  stream.reset();
-  // After reset, the response to an impulse equals the first tap.
-  EXPECT_NEAR(stream.process(1.0), fir.taps[0], 1e-15);
-}
-
 TEST(FirDesignTest, SineInPassbandPreservedAfterTransient) {
   const auto fir = design_lowpass(64, 40.0, kFs);
   const Signal x = sine(10.0, kFs, 1000);

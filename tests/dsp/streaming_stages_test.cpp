@@ -1,18 +1,22 @@
 // Streaming counterparts vs their batch references: the streaming engine
 // rests on these stages being (a) chunk-size invariant and (b) equal to
-// the batch kernels they replace (exactly for morphology/moving/fixed
-// point, to filtfilt-level accuracy for the zero-phase FIR stages).
+// the batch kernels they replace (exactly for morphology/moving, to
+// filtfilt-level accuracy for the zero-phase FIR stages).
+#include "core/stream.h"
 #include "dsp/butterworth.h"
 #include "dsp/filtfilt.h"
 #include "dsp/fir_design.h"
-#include "dsp/fixed_point.h"
 #include "dsp/morphology.h"
 #include "dsp/moving.h"
+#include "dsp/zero_phase_highpass.h"
+#include "ecg/pan_tompkins.h"
 #include "synth/rng.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 namespace icgkit::dsp {
@@ -58,6 +62,56 @@ TEST(ZeroPhaseKernelTest, SosKernelMagnitudeIsSquared) {
     const double mh = sos_magnitude_at(lp, f, kFs);
     const double mg = fir_magnitude_at(g, f, kFs);
     EXPECT_NEAR(mg, mh * mh, 1e-4) << "f=" << f;
+  }
+}
+
+// FNV-1a over the little-endian IEEE bytes of every tap.
+std::uint64_t tap_hash(const FirCoefficients& k) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const double t : k.taps) {
+    const auto bits = std::bit_cast<std::uint64_t>(t);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xFFu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(ZeroPhaseKernelTest, DesignedKernelsAreBitStable) {
+  // The four kernels every engine builds, pinned bit for bit at default
+  // configs: the ICG 20 Hz low-pass, the Pan-Tompkins 5-15 Hz band-pass,
+  // the ECG 0.05-40 Hz FIR and the decimated baseline high-pass. A
+  // changed tap otherwise surfaces only as replay-corpus divergence.
+  struct Pin {
+    std::size_t len;
+    std::uint64_t hash;
+  };
+  struct Rate {
+    double fs;
+    Pin icg_lp, qrs_bp, ecg_fir, baseline_hp;
+  };
+  const Rate rates[] = {
+      {125.0, {77, 0xc980f4d840c10dafull}, {123, 0x93befc7d2e0f8d6cull},
+       {65, 0xc65ed963138c9f42ull}, {65, 0x66d9aea2bd85861dull}},
+      {250.0, {141, 0x4be7cbb9b5cc3927ull}, {245, 0xf8bd101dad71e028ull},
+       {65, 0x2bd309c45e1882bdull}, {69, 0x270292604266495full}},
+      {500.0, {283, 0x9b54f9279061010full}, {491, 0x425ce0062b894ecdull},
+       {65, 0xf0ef2c0a9ad3f912ull}, {67, 0x1e97edfc9f4f93e3ull}},
+      {1000.0, {563, 0x5946d191b165dc05ull}, {981, 0xdc561a771523f66aull},
+       {65, 0x0ac91090ae255625ull}, {67, 0x1e97edfc9f4f93e3ull}},
+  };
+  const ZeroPhaseHighpassConfig hp;
+  for (const Rate& r : rates) {
+    const auto check = [&](const FirCoefficients& k, const Pin& pin, const char* name) {
+      EXPECT_EQ(k.taps.size(), pin.len) << name << " at " << r.fs << " Hz";
+      EXPECT_EQ(tap_hash(k), pin.hash) << name << " at " << r.fs << " Hz";
+    };
+    check(core::icg_conditioner_lowpass_kernel(r.fs, {}), r.icg_lp, "ICG low-pass");
+    check(ecg::pan_tompkins_bandpass_kernel(r.fs, {}), r.qrs_bp, "QRS band-pass");
+    check(core::ecg_cleaner_fir_kernel(r.fs, {}), r.ecg_fir, "ECG FIR");
+    check(zero_phase_highpass_kernel(r.fs, zero_phase_highpass_decimation(r.fs, hp), hp),
+          r.baseline_hp, "baseline high-pass");
   }
 }
 
@@ -166,23 +220,6 @@ TEST(StreamingMovingAverageTest, MatchesMovingWindowIntegrate) {
   StreamingMovingAverage st(37);
   for (std::size_t i = 0; i < x.size(); ++i)
     ASSERT_EQ(st.tick(x[i]), ref[i]) << "i=" << i;
-}
-
-TEST(FixedSosFilterTest, TickMatchesApplyBitExactly) {
-  const SosFilter lp = butterworth_lowpass(2, 20.0, kFs);
-  FixedSosFilter fixed(lp);
-  constexpr double kQ31 = 2147483648.0;
-  // Amplitude well inside [-1, 1) so neither path saturates; apply() and
-  // tick() then run the identical integer arithmetic.
-  Signal x = noisy_signal(400, 14);
-  for (double& v : x) v /= 8.0;
-  const Signal batch = fixed.apply(x);
-  fixed.reset_state();
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const auto q = static_cast<std::int32_t>(std::llround(x[i] * kQ31));
-    const std::int32_t y = fixed.tick(q);
-    ASSERT_EQ(static_cast<double>(y) / kQ31, batch[i]) << "i=" << i;
-  }
 }
 
 } // namespace

@@ -92,18 +92,6 @@ std::vector<unsigned char> bytes_of(const std::vector<core::BeatRecord>& beats) 
   return out;
 }
 
-bool summaries_equal(const core::QualitySummary& a, const core::QualitySummary& b) {
-  if (a.beats != b.beats || a.usable != b.usable || a.ecg_dropouts != b.ecg_dropouts ||
-      a.z_dropouts != b.z_dropouts || a.detector_resets != b.detector_resets ||
-      a.ensemble_folds_skipped != b.ensemble_folds_skipped ||
-      a.snr_beats != b.snr_beats || a.sum_snr_db != b.sum_snr_db ||
-      a.min_snr_db != b.min_snr_db)
-    return false;
-  for (std::size_t i = 0; i < core::kBeatFlawCount; ++i)
-    if (a.flaw_counts[i] != b.flaw_counts[i]) return false;
-  return true;
-}
-
 /// Re-records the uninterrupted run of a diverged round as a replayable
 /// .icgr whose periodic checkpoint cadence equals the failing cut, and
 /// returns the file path. `replay --verify` on it re-runs the exact
@@ -161,7 +149,7 @@ bool run_round(const synth::Recording& rec, const RoundSpec& spec) {
   second.finish_into(cut_beats);
 
   return bytes_of(ref_beats) == bytes_of(cut_beats) &&
-         summaries_equal(ref.quality_summary(), second.quality_summary());
+         core::summaries_identical(ref.quality_summary(), second.quality_summary());
 }
 
 } // namespace
