@@ -24,6 +24,11 @@
 #include "synth/recording.h"
 #include "synth/subject.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
+
 namespace {
 
 using namespace icgkit;
@@ -100,10 +105,7 @@ BENCHMARK(BM_FullPipeline30s);
 
 template <typename B>
 typename B::sample_t bsample(double x) {
-  if constexpr (B::kLanes > 1)
-    return B::sample_t::broadcast(x);
-  else
-    return x;
+  return B::from_real(x);
 }
 
 template <typename B>
@@ -124,6 +126,39 @@ void BM_StreamingZeroPhaseFirPush(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_StreamingZeroPhaseFirPush, dsp::DoubleBackend)->Arg(7500);
 BENCHMARK_TEMPLATE(BM_StreamingZeroPhaseFirPush, dsp::BatchBackend<4>)->Arg(7500);
 BENCHMARK_TEMPLATE(BM_StreamingZeroPhaseFirPush, dsp::BatchBackend<8>)->Arg(7500);
+
+// The path the engines run: 64-sample chunks through process_chunk_counted
+// with the engine's own 245-tap Pan-Tompkins band-pass. Past the first
+// window each chunk is convolved as a block (dsp/filtfilt.h).
+template <typename B>
+void BM_StreamingZeroPhaseFirChunk(benchmark::State& state) {
+  constexpr std::size_t kChunk = 64;
+  dsp::DenormalGuard guard;
+  dsp::BasicStreamingZeroPhaseFir<B> fir(ecg::pan_tompkins_bandpass_kernel(kFs, {}));
+  std::vector<typename B::sample_t> x;
+  for (const double v : test_signal(static_cast<std::size_t>(state.range(0))))
+    x.push_back(bsample<B>(0.5 * v));  // inside the Q31 full scale
+  const std::span<const typename B::sample_t> in(x);
+  std::vector<typename B::sample_t> out;
+  std::vector<std::uint32_t> cum;
+  out.reserve(kChunk + fir.delay() + 1);
+  cum.reserve(kChunk);
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < in.size(); i += kChunk) {
+      out.clear();
+      cum.clear();
+      fir.process_chunk_counted(in.subspan(i, std::min(kChunk, in.size() - i)), out, cum);
+      benchmark::DoNotOptimize(out.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0) *
+                          static_cast<std::int64_t>(B::kLanes));
+}
+BENCHMARK_TEMPLATE(BM_StreamingZeroPhaseFirChunk, dsp::DoubleBackend)->Arg(7500);
+BENCHMARK_TEMPLATE(BM_StreamingZeroPhaseFirChunk, dsp::Q31Backend)->Arg(7500);
+BENCHMARK_TEMPLATE(BM_StreamingZeroPhaseFirChunk, dsp::BatchBackend<4>)->Arg(7500);
+BENCHMARK_TEMPLATE(BM_StreamingZeroPhaseFirChunk, dsp::BatchBackend<8>)->Arg(7500);
 
 template <typename B>
 void BM_StreamingMovingAverageTick(benchmark::State& state) {

@@ -4,9 +4,12 @@
 // more *delay-compensated* output samples: output index i always
 // corresponds to input index i, it is just emitted latency() samples
 // later. finish() flushes the tail so a stream of n inputs always yields
-// exactly n outputs. Because each stage's state advances one sample at a
-// time, the composed pipeline is chunk-size invariant: any segmentation
-// of the input produces bit-identical output, which is what lets
+// exactly n outputs. Every sub-stage's outputs depend only on the
+// sequence of samples it has consumed, never on how that sequence was
+// cut: the zero-phase FIR convolves a chunk's outputs side by side, but
+// each in its own accumulator and the one tap order (dsp/filtfilt.h).
+// So the composed pipeline is chunk-size invariant: any segmentation of
+// the input produces bit-identical output, which is what lets
 // BeatPipeline::process be a thin one-big-chunk wrapper around
 // StreamingBeatPipeline (see pipeline.h).
 //

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "support/contract.h"
@@ -74,13 +75,24 @@ FirCoefficients zero_phase_sos_kernel(const SosFilter& filter, double tol = 1e-6
 /// instantiation quantizes the taps to Q2.30 and runs 64-bit MAC loops
 /// with saturating edge reflection).
 ///
-/// Feeding x[0..n) through push() and then finish() produces exactly n
-/// output samples, where out[i] is aligned with input x[i] (the constant
-/// group delay of (len-1)/2 samples is absorbed: out[i] is emitted once
-/// x[i + delay()] has been consumed, and finish() flushes the tail by
-/// synthesizing the same odd-reflection extension filtfilt uses). The
-/// result is chunk-size invariant: any segmentation of the input yields
-/// bit-identical output.
+/// Feeding x[0..n) through push() or process_chunk() and then finish()
+/// produces exactly n output samples, where out[i] is aligned with input
+/// x[i] (the constant group delay of (len-1)/2 samples is absorbed:
+/// out[i] is emitted once x[i + delay()] has been consumed, and finish()
+/// flushes the tail by synthesizing the same odd-reflection extension
+/// filtfilt uses). The result is chunk-size invariant: any segmentation
+/// of the input yields bit-identical output and checkpoint state.
+///
+/// The filtered stream lives in a linear history. Once the first kernel
+/// window is full, the chunk feeds (process_chunk and
+/// process_chunk_counted) append a run of samples and then convolve
+/// kBlock consecutive outputs per pass over the taps. Each output keeps
+/// its own accumulator and adds its products in the scalar tap order
+/// j = 0..len-1, and the build forbids FP contraction
+/// (-ffp-contract=off), so every output carries the bytes of the
+/// one-output-at-a-time push(); only which outputs run side by side
+/// changes. The side-by-side accumulators are the speed-up: a single
+/// output is one dependent add chain, bound by FP-add latency.
 template <typename B>
 class BasicStreamingZeroPhaseFir {
  public:
@@ -104,6 +116,7 @@ class BasicStreamingZeroPhaseFir {
     }
     half_ = (g.size() - 1) / 2;
     line_.assign(2 * g.size(), sample_t{});
+    pos_ = g.size();
     tail_.assign(half_ + 1, sample_t{});
   }
 
@@ -132,7 +145,7 @@ class BasicStreamingZeroPhaseFir {
   /// cross-backend container mixups fail to compile instead of
   /// truncating.
   void process_chunk(std::span<const sample_t> x, std::vector<sample_t>& out) {
-    for (const sample_t v : x) push(v, out);
+    feed_chunk(x, out, nullptr);
   }
 
   /// End of stream: emits the remaining delay() samples (or, for streams
@@ -142,7 +155,9 @@ class BasicStreamingZeroPhaseFir {
     if (!warm_) {
       // Short stream (n <= delay): emit the zero-phase output directly from
       // the buffered samples with the clamped odd-reflection padding the
-      // batch filtfilt would use.
+      // batch filtfilt would use. The buffer is empty once a finish() has
+      // emitted those outputs.
+      if (warmup_.empty()) return;
       const std::size_t n = warmup_.size();
       const std::size_t pad = std::min(half_, n - 1);
       std::vector<sample_t> ext;
@@ -183,10 +198,7 @@ class BasicStreamingZeroPhaseFir {
   /// it (core's fused per-chunk front).
   void process_chunk_counted(std::span<const sample_t> x, std::vector<sample_t>& out,
                              std::vector<std::uint32_t>& cum) {
-    for (const sample_t v : x) {
-      push(v, out);
-      cum.push_back(static_cast<std::uint32_t>(out.size()));
-    }
+    feed_chunk(x, out, &cum);
   }
 
   /// Serializes the carried stream state — delay line, warm-up prefix
@@ -196,13 +208,17 @@ class BasicStreamingZeroPhaseFir {
   /// length.
   template <typename W>
   void save_state(W& w) const {
-    // The wire layout predates the doubled (mirrored) delay line: it
-    // carries one kernel-length window, slot order. The mirror copy is
-    // reconstructed on load, so v1 blobs stay byte-identical.
+    // The wire layout predates the linear history: it carries one
+    // kernel-length window in the slot order of a ring written at slot
+    // fed_ % len, so the head slot holds the oldest sample and v1 blobs
+    // stay byte-identical.
     const std::size_t len = kernel_.taps.size();
+    const std::size_t head = fed_ % len;
+    const sample_t* window = line_.data() + pos_ - len;  // oldest first
     w.u64(len);
-    for (std::size_t i = 0; i < len; ++i) w.value(line_[i]);
-    w.u64(head_);
+    for (std::size_t i = 0; i < len; ++i)
+      w.value(window[i < head ? i + len - head : i - head]);
+    w.u64(head);
     w.u64(fed_);
     w.u64(raw_count_);
     w.u64(warmup_.size());
@@ -215,13 +231,15 @@ class BasicStreamingZeroPhaseFir {
   void load_state(R& r) {
     const std::size_t len = kernel_.taps.size();
     if (r.u64() != len) r.fail("StreamingZeroPhaseFir: kernel length mismatch");
-    for (std::size_t i = 0; i < len; ++i) {
-      const sample_t v = r.template value<sample_t>();
-      line_[i] = v;
-      line_[i + len] = v;
-    }
-    head_ = r.u64();
-    if (head_ >= len) r.fail("StreamingZeroPhaseFir: head index out of range");
+    // The slots land in the upper half; once the head names the oldest
+    // slot they are rotated into the window [0, len).
+    sample_t* slots = line_.data() + len;
+    for (std::size_t i = 0; i < len; ++i) slots[i] = r.template value<sample_t>();
+    const std::size_t head = r.u64();
+    if (head >= len) r.fail("StreamingZeroPhaseFir: head index out of range");
+    for (std::size_t k = 0; k < len; ++k)
+      line_[k] = slots[k < len - head ? head + k : head + k - len];
+    pos_ = len;
     fed_ = r.u64();
     raw_count_ = r.u64();
     const std::size_t warm_n = r.u64();
@@ -239,26 +257,128 @@ class BasicStreamingZeroPhaseFir {
   [[nodiscard]] const FirCoefficients& kernel() const { return kernel_; }
 
  private:
+  /// Outputs convolved per pass over the taps by the chunk feeds: eight
+  /// doubles as four LaneVec<2> accumulators (elementwise, so even the
+  /// baseline SSE2 build vectorizes without reassociating), four Q31
+  /// outputs on 64-bit accumulators (one tap load per four MACs), and one
+  /// for the batch backend, whose W lanes are already independent chains.
+  static constexpr std::size_t kBlock = std::is_same_v<B, DoubleBackend> ? 8
+                                        : std::is_same_v<B, Q31Backend>  ? 4
+                                                                         : 1;
+
+  /// Every further extended sample emits exactly one output.
+  [[nodiscard]] bool steady() const { return warm_ && fed_ >= kernel_.taps.size(); }
+
+  void feed_chunk(std::span<const sample_t> x, std::vector<sample_t>& out,
+                  std::vector<std::uint32_t>* cum) {
+    // Until the window is full an input emits zero outputs or, ending
+    // the warm-up, a burst of them: one push() per input.
+    std::size_t i = 0;
+    for (; i < x.size() && !steady(); ++i) {
+      push(x[i], out);
+      if (cum != nullptr) cum->push_back(static_cast<std::uint32_t>(out.size()));
+    }
+    const std::span<const sample_t> rest = x.subspan(i);
+    std::size_t t = raw_count_ % tail_.size();
+    for (const sample_t v : rest) {
+      tail_[t] = v;
+      t = (t + 1 == tail_.size()) ? 0 : t + 1;
+    }
+    raw_count_ += rest.size();
+    const std::size_t base = out.size();
+    for (std::size_t k = 0; k < rest.size();) {
+      if (pos_ == line_.size()) slide();
+      const std::size_t n = std::min(rest.size() - k, line_.size() - pos_);
+      std::copy_n(rest.data() + k, n, line_.data() + pos_);
+      emit_run(n, out);
+      k += n;
+    }
+    if (cum != nullptr)
+      for (std::size_t k = 1; k <= rest.size(); ++k)
+        cum->push_back(static_cast<std::uint32_t>(base + k));
+  }
+
+  /// The n samples just written at line_[pos_, pos_ + n) join the
+  /// history, each emitting one output; the window must be full
+  /// (steady()).
+  void emit_run(std::size_t n, std::vector<sample_t>& out) {
+    pos_ += n;
+    fed_ += n;
+    const sample_t* newest = line_.data() + pos_ - n;
+    std::size_t k = 0;
+    if constexpr (kBlock > 1) {
+      for (; k + kBlock <= n; k += kBlock) {
+        sample_t y[kBlock];
+        convolve_block(newest + k, y);
+        for (const sample_t v : y) out.push_back(v);
+      }
+    }
+    for (; k < n; ++k) out.push_back(convolve_one(newest + k));
+  }
+
   void feed_extended(sample_t z, std::vector<sample_t>& out) {
-    const std::size_t len = kernel_.taps.size();
-    // Mirrored write: slot head_ and its +len twin always hold the same
-    // sample, so the newest len samples are contiguous ending at
-    // head_ + len - 1 (post-increment) and the convolution below is a
-    // branch-free flat loop instead of a per-tap wrap test. Same (tap,
-    // sample) pairing and summation order as the circular walk it
-    // replaced — bit-identical output.
-    line_[head_] = z;
-    line_[head_ + len] = z;
-    head_ = (head_ + 1 == len) ? 0 : head_ + 1;
-    ++fed_;
-    if (fed_ < len) return;
-    typename B::acc_t acc = B::acc_zero();
-    const sample_t* newest = line_.data() + head_ + len - 1;
+    if (pos_ == line_.size()) slide();
+    line_[pos_++] = z;
+    if (++fed_ < kernel_.taps.size()) return;
+    out.push_back(convolve_one(line_.data() + pos_ - 1));
+  }
+
+  /// The newest len - 1 samples, all the next output reads besides its
+  /// own, move to the front. The feeds slide a full history: one copy per
+  /// len + 1 samples.
+  void slide() {
+    const std::size_t keep = kernel_.taps.size() - 1;
+    std::copy_n(line_.data() + pos_ - keep, keep, line_.data());
+    pos_ = keep;
+  }
+
+  /// One output: sum_j tap[j] * newest[-j], j = 0..len-1.
+  sample_t convolve_one(const sample_t* newest) const {
     const auto& g_taps = taps();
     const auto* tap = g_taps.data();
-    for (std::size_t j = 0; j < len; ++j)
+    typename B::acc_t acc = B::acc_zero();
+    for (std::size_t j = 0; j < g_taps.size(); ++j)
       acc = B::mac(acc, tap[j], newest[-static_cast<std::ptrdiff_t>(j)]);
-    out.push_back(B::narrow(acc));
+    return B::narrow(acc);
+  }
+
+  /// kBlock outputs side by side: output k is convolve_one(newest + k),
+  /// accumulated in its own register in the same tap order.
+  void convolve_block(const sample_t* newest, sample_t* dst) const {
+    const auto& g_taps = taps();
+    const auto* tap = g_taps.data();
+    const std::size_t len = g_taps.size();
+    if constexpr (std::is_same_v<B, DoubleBackend>) {
+      // DoubleBackend::mac (a + c * v) on lane pairs of consecutive outputs.
+      using V = LaneVec<2>;
+      V a0{}, a1{}, a2{}, a3{};
+      for (std::size_t j = 0; j < len; ++j) {
+        const double c = tap[j];
+        const double* x = newest - j;
+        a0 = a0 + c * V::load(x);
+        a1 = a1 + c * V::load(x + 2);
+        a2 = a2 + c * V::load(x + 4);
+        a3 = a3 + c * V::load(x + 6);
+      }
+      a0.store(dst);
+      a1.store(dst + 2);
+      a2.store(dst + 4);
+      a3.store(dst + 6);
+    } else if constexpr (std::is_same_v<B, Q31Backend>) {
+      typename B::acc_t a0 = B::acc_zero(), a1 = a0, a2 = a0, a3 = a0;
+      for (std::size_t j = 0; j < len; ++j) {
+        const typename B::coeff_t c = tap[j];
+        const sample_t* x = newest - j;
+        a0 = B::mac(a0, c, x[0]);
+        a1 = B::mac(a1, c, x[1]);
+        a2 = B::mac(a2, c, x[2]);
+        a3 = B::mac(a3, c, x[3]);
+      }
+      dst[0] = B::narrow(a0);
+      dst[1] = B::narrow(a1);
+      dst[2] = B::narrow(a2);
+      dst[3] = B::narrow(a3);
+    }
   }
 
   /// The double backend convolves with the design taps directly; only
@@ -272,11 +392,13 @@ class BasicStreamingZeroPhaseFir {
   FirCoefficients kernel_;                 ///< the double-precision design
   std::vector<typename B::coeff_t> taps_;  ///< Q2.30 taps (fixed backend only)
   std::size_t half_;          ///< (len - 1) / 2 == group delay
-  /// Mirrored delay line, size == 2 * kernel length: slots [i] and
-  /// [i + len] carry the same sample so the newest window is always
-  /// contiguous (see feed_extended). Checkpoints serialize one window.
+  /// Linear history, size == 2 * kernel length: line_[pos_ - len, pos_)
+  /// is the newest window, oldest first, so every convolution is a flat
+  /// loop. It starts as an all-zero window at pos_ == len; a full buffer
+  /// slides its newest len - 1 samples to the front (slide()).
+  /// Checkpoints serialize the window in ring-slot order (see save_state).
   std::vector<sample_t> line_;
-  std::size_t head_ = 0;      ///< next write slot in line_
+  std::size_t pos_ = 0;       ///< one past the newest sample in line_
   std::size_t fed_ = 0;       ///< extended-stream samples consumed
   std::size_t raw_count_ = 0; ///< raw input samples consumed
   std::vector<sample_t> warmup_; ///< first half_+1 raw samples (prefix synthesis)

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 
 namespace icgkit::dsp {
 
@@ -44,14 +45,14 @@ struct NativeLanes<32> {
 // 64-byte lane vectors on a 32-byte ISA. A generic vector_size(64) type
 // makes GCC treat each W=8 value as one indivisible 64-byte object: the
 // register allocator must find two *paired* ymm registers per value, and
-// state-heavy kernels (an SOS section carries s1+s2, a batch FIR the
-// accumulator plus the tap broadcast) run out of pairs and spill every
-// tick. Splitting the value into two explicit 32-byte halves gives the
-// allocator eight independent ymm values to juggle instead of four
-// pairs, which is what lets W=8 *beat* W=4 on plain AVX2 instead of
-// losing to it. Elementwise semantics are unchanged: every operator
-// applies the identical IEEE double expression per lane, half by half,
-// with no cross-half (horizontal) operations.
+// state-heavy kernels (a batch FIR holds the accumulator plus the tap
+// broadcast) run out of pairs and spill every tick. Splitting the value
+// into two explicit 32-byte halves gives the allocator eight independent
+// ymm values to juggle instead of four pairs, which is what lets W=8
+// *beat* W=4 on plain AVX2 instead of losing to it. Elementwise
+// semantics are unchanged: every operator applies the identical IEEE
+// double expression per lane, half by half, with no cross-half
+// (horizontal) operations.
 struct PairLanes64 {
   typedef double half_t __attribute__((vector_size(32)));
   half_t lo{}, hi{};
@@ -93,15 +94,18 @@ struct NativeLanes<64> {
 #endif
 
 /// W double lanes advancing in lockstep. W must be a power of two so the
-/// native vector extension applies (4 and 8 are the supported widths).
+/// native vector extension applies: 4 and 8 are the batch backend's
+/// widths, 2 the lane pairs of the scalar double FIR's blocked
+/// convolution (dsp/filtfilt.h).
 ///
 /// Width guidance: W=8 is one zmm on AVX-512 and, on plain AVX2, two
 /// *independent* ymm halves (detail::PairLanes64) — the split keeps the
 /// register allocator free to schedule eight 32-byte values instead of
-/// four paired 64-byte ones, so the 4-section SOS cascade's state stays
-/// in registers and W=8 beats W=4 on both ISAs. W=4 remains the fallback
-/// for register files that cannot hold the doubled state (SSE2-only
-/// builds, where every lane vector is already emulated).
+/// four paired 64-byte ones, so the batch FIR's accumulator and tap
+/// broadcast stay in registers and W=8 beats W=4 on both ISAs. W=4
+/// remains the fallback for register files that cannot hold the doubled
+/// state (SSE2-only builds, where every lane vector is already
+/// emulated).
 template <std::size_t W>
 struct LaneVec {
   static_assert(W >= 2 && W <= 8 && (W & (W - 1)) == 0,
@@ -124,6 +128,15 @@ struct LaneVec {
 
   [[nodiscard]] double lane(std::size_t i) const { return v[i]; }
   void set_lane(std::size_t i, double x) { v[i] = x; }
+
+  /// W consecutive doubles from memory of any alignment: lane i = p[i].
+  static LaneVec load(const double* p) {
+    LaneVec r;
+    std::memcpy(&r.v, p, sizeof r.v);
+    return r;
+  }
+  /// Writes lane i to p[i].
+  void store(double* p) const { std::memcpy(p, &v, sizeof v); }
 
   // Elementwise arithmetic. The native path is a single vector op; the
   // fallback loops are the same expressions per lane.

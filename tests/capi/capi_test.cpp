@@ -330,6 +330,34 @@ TEST(CApiCheckpointTest, BufferTooSmallReportsRequiredSize) {
   EXPECT_EQ(icg_session_destroy(s), ICG_OK);
 }
 
+// A stream shorter than the filters' group delay, finished, checkpointed
+// and restored into a fresh session that is finished again: only valid
+// calls, so every one of them must succeed.
+TEST(CapiTest, FinishAfterRestoringAFinishedShortSession) {
+  const auto rec = test_recording(1.0);
+  for (const std::uint32_t backend : {ICG_BACKEND_DOUBLE, ICG_BACKEND_Q31}) {
+    SCOPED_TRACE(backend == ICG_BACKEND_DOUBLE ? "double" : "q31");
+    const icg_config cfg = test_config(backend);
+    icg_session* s = icg_session_create(&cfg);
+    ASSERT_NE(s, nullptr) << icg_last_error();
+    EXPECT_GE(icg_session_push(s, rec.ecg_mv.data(), rec.z_ohm.data(), 10), 0)
+        << icg_last_error();
+    EXPECT_GE(icg_session_finish(s), 0) << icg_last_error();
+    const std::uint32_t need = icg_session_checkpoint_size(s);
+    ASSERT_GT(need, 0u) << icg_last_error();
+    std::vector<std::uint8_t> blob(need);
+    std::uint32_t written = 0;
+    EXPECT_GE(icg_session_checkpoint(s, blob.data(), need, &written), 0) << icg_last_error();
+
+    icg_session* fresh = icg_session_create(&cfg);
+    ASSERT_NE(fresh, nullptr) << icg_last_error();
+    EXPECT_GE(icg_session_restore(fresh, blob.data(), written), 0) << icg_last_error();
+    EXPECT_GE(icg_session_finish(fresh), 0) << icg_last_error();
+    EXPECT_EQ(icg_session_destroy(fresh), ICG_OK);
+    EXPECT_EQ(icg_session_destroy(s), ICG_OK);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Abuse: config and handle lifecycle
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 // the batch kernels they replace (exactly for morphology/moving, to
 // filtfilt-level accuracy for the zero-phase FIR stages).
 #include "core/stream.h"
+#include "dsp/backend.h"
 #include "dsp/butterworth.h"
 #include "dsp/filtfilt.h"
 #include "dsp/fir_design.h"
@@ -14,10 +15,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <numbers>
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 namespace icgkit::dsp {
 namespace {
@@ -176,6 +184,163 @@ TEST(StreamingZeroPhaseFirTest, RejectsAsymmetricKernel) {
   FirCoefficients even;
   even.taps = {1.0, 1.0};
   EXPECT_THROW(StreamingZeroPhaseFir{even}, std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Chunk feeds against the one-sample feed, on every backend
+// ---------------------------------------------------------------------------
+
+template <typename B>
+class StreamingZeroPhaseFirTest : public ::testing::Test {};
+
+struct BackendName {
+  template <typename B>
+  static std::string GetName(int) {
+    if constexpr (std::is_same_v<B, DoubleBackend>) return "Double";
+    else if constexpr (std::is_same_v<B, Q31Backend>) return "Q31";
+    else return "Batch" + std::to_string(B::kLanes);
+  }
+};
+using FirBackends =
+    ::testing::Types<DoubleBackend, Q31Backend, BatchBackend<4>, BatchBackend<8>>;
+TYPED_TEST_SUITE(StreamingZeroPhaseFirTest, FirBackends, BackendName);
+
+// n samples per lane, a different signal in every lane, kept inside the
+// Q1.31 range.
+template <typename B>
+std::vector<typename B::sample_t> lane_signal(std::size_t n) {
+  std::vector<typename B::sample_t> x(n);
+  for (std::size_t l = 0; l < B::kLanes; ++l) {
+    const Signal s = noisy_signal(n, 40 + l);
+    for (std::size_t i = 0; i < n; ++i) {
+      if constexpr (is_batch_backend_v<B>) x[i].set_lane(l, 0.3 * s[i]);
+      else x[i] = B::from_real(0.3 * s[i]);
+    }
+  }
+  return x;
+}
+
+template <typename T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+// A save_state()/load_state() target that keeps the written values as
+// raw bytes, without checkpoint framing or CRC: cheap enough to compare
+// at every chunk boundary (the framed round trip is CheckpointKernelTest's
+// job), and two filters write equal bytes exactly when they carry equal
+// state.
+struct RawState {
+  std::vector<unsigned char> bytes;
+  std::size_t at = 0;
+
+  template <typename T>
+  void value(const T& v) {
+    const auto* p = reinterpret_cast<const unsigned char*>(&v);
+    bytes.insert(bytes.end(), p, p + sizeof v);
+  }
+  void u64(std::uint64_t v) { value(v); }
+  void boolean(bool v) { value(v); }
+
+  template <typename T>
+  T value() {
+    T v;
+    std::memcpy(&v, bytes.data() + at, sizeof v);
+    at += sizeof v;
+    return v;
+  }
+  std::uint64_t u64() { return value<std::uint64_t>(); }
+  bool boolean() { return value<bool>(); }
+  [[noreturn]] void fail(const std::string& msg) { throw std::runtime_error(msg); }
+};
+
+template <typename B>
+std::vector<unsigned char> state_bytes(const BasicStreamingZeroPhaseFir<B>& f) {
+  RawState w;
+  f.save_state(w);
+  return w.bytes;
+}
+
+template <typename B>
+BasicStreamingZeroPhaseFir<B> restored(const FirCoefficients& kernel,
+                                       std::vector<unsigned char> bytes) {
+  BasicStreamingZeroPhaseFir<B> f(kernel);
+  RawState r{std::move(bytes)};
+  f.load_state(r);
+  EXPECT_EQ(r.at, r.bytes.size());
+  return f;
+}
+
+TYPED_TEST(StreamingZeroPhaseFirTest, BlockedChunksMatchOneSampleFeed) {
+  using B = TypeParam;
+  using Fir = BasicStreamingZeroPhaseFir<B>;
+  using sample_t = typename B::sample_t;
+  const FirCoefficients kernels[] = {
+      FirCoefficients{{0.75}},
+      FirCoefficients{{0.25, 0.5, 0.25}},
+      core::ecg_cleaner_fir_kernel(250.0, {}),
+      ecg::pan_tompkins_bandpass_kernel(250.0, {}),
+      ecg::pan_tompkins_bandpass_kernel(1000.0, {}),
+  };
+  for (const FirCoefficients& kernel : kernels) {
+    const std::size_t len = kernel.taps.size();
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64}, len,
+                                    len + 1, 3 * len + 5}) {
+      SCOPED_TRACE("len " + std::to_string(len) + ", chunk " + std::to_string(chunk));
+      // Past the warm-up the history slides every len + 1 samples: at
+      // least twice here, and inside a chunk for the last three sizes.
+      const std::vector<sample_t> x = lane_signal<B>(std::max(2 * len, chunk + len) + 11);
+      Fir ref(kernel);
+      Fir fed(kernel);
+      Fir resumed(kernel);  // restored from `fed` at every chunk boundary
+      std::vector<sample_t> ref_out, fed_out, resumed_out;
+      std::vector<std::uint32_t> ref_cum, fed_cum, resumed_cum;
+      for (std::size_t i = 0; i < x.size(); i += chunk) {
+        const auto part = std::span<const sample_t>(x).subspan(i, std::min(chunk, x.size() - i));
+        for (const sample_t v : part) {
+          ref.push(v, ref_out);
+          ref_cum.push_back(static_cast<std::uint32_t>(ref_out.size()));
+        }
+        fed.process_chunk_counted(part, fed_out, fed_cum);
+        resumed.process_chunk_counted(part, resumed_out, resumed_cum);
+        const std::vector<unsigned char> state = state_bytes(fed);
+        ASSERT_EQ(state, state_bytes(ref)) << "after " << i + part.size() << " samples";
+        resumed = restored<B>(kernel, state);
+      }
+      ref.finish(ref_out);
+      fed.finish(fed_out);
+      resumed.finish(resumed_out);
+      ASSERT_EQ(ref_out.size(), x.size());
+      EXPECT_EQ(fed_cum, ref_cum);
+      EXPECT_EQ(resumed_cum, ref_cum);
+      EXPECT_TRUE(same_bytes(fed_out, ref_out));
+      EXPECT_TRUE(same_bytes(resumed_out, ref_out));
+    }
+  }
+}
+
+template <typename B>
+void expect_second_finish_emits_nothing() {
+  const FirCoefficients kernel = core::ecg_cleaner_fir_kernel(250.0, {});
+  const auto x = lane_signal<B>(10);  // shorter than the 32-sample group delay
+  BasicStreamingZeroPhaseFir<B> f(kernel);
+  std::vector<typename B::sample_t> out;
+  f.process_chunk(x, out);
+  f.finish(out);
+  ASSERT_EQ(out.size(), x.size());
+  f.finish(out);
+  EXPECT_EQ(out.size(), x.size());
+  // A copy restored from the finished filter has nothing left to emit
+  // either (the C ABI reaches this through checkpoint + restore).
+  BasicStreamingZeroPhaseFir<B> again = restored<B>(kernel, state_bytes(f));
+  again.finish(out);
+  EXPECT_EQ(out.size(), x.size());
+}
+
+TEST(StreamingZeroPhaseFirTest, SecondFinishOfShortStreamEmitsNothing) {
+  expect_second_finish_emits_nothing<DoubleBackend>();
+  expect_second_finish_emits_nothing<Q31Backend>();
 }
 
 TEST(StreamingExtremumTest, MatchesBatchErodeDilate) {
