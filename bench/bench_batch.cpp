@@ -110,17 +110,8 @@ Leg run_batched(const std::vector<synth::Recording>& workload, std::size_t sessi
                 std::size_t width) {
   const std::size_t groups = sessions / width;
   std::vector<std::unique_ptr<core::SessionBatchBase>> batches;
-  std::vector<std::vector<std::uint8_t>> blobs(width);
-  for (std::size_t g = 0; g < groups; ++g) {
-    auto b = core::make_session_batch(width, workload[0].fs, core::PipelineConfig{});
-    // Production entry point: lanes absorb fresh scalar checkpoints.
-    for (std::size_t l = 0; l < width; ++l) {
-      core::StreamingBeatPipeline fresh(workload[0].fs, core::PipelineConfig{});
-      blobs[l] = fresh.checkpoint();
-    }
-    b->pack(blobs);
-    batches.push_back(std::move(b));
-  }
+  for (std::size_t g = 0; g < groups; ++g)
+    batches.push_back(core::make_session_batch(width, workload[0].fs, core::PipelineConfig{}));
   std::vector<std::vector<BeatRecord>> beats(sessions);
   std::vector<const double*> ecg_ptrs(width), z_ptrs(width);
 

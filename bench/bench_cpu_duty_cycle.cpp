@@ -5,64 +5,14 @@
 // The duty cycle depends on the acquisition rate (the ADC front end runs
 // faster than the 250 Hz processing rate) and on software floating point
 // (the Cortex-M3 has no FPU). The sweep below shows which operating
-// points land in the paper's band.
-#include "core/legacy_recompute.h"
+// points land in the paper's band; the exit code is non-zero when none
+// does.
 #include "core/pipeline.h"
 #include "platform/mcu.h"
 #include "platform/radio.h"
 #include "report/table.h"
-#include "synth/recording.h"
-#include "synth/subject.h"
 
-#include <chrono>
-#include <cstddef>
-#include <fstream>
 #include <iostream>
-#include <vector>
-
-namespace {
-
-using icgkit::dsp::SignalView;
-
-struct PushCost {
-  double mean_us_per_push = 0.0;
-  std::size_t beats = 0;
-};
-
-// Feeds a recording through `engine` in fixed-size chunks and returns the
-// mean wall-clock cost of one push().
-template <typename Engine>
-PushCost measure_per_push(Engine& engine, const icgkit::synth::Recording& rec,
-                          std::size_t chunk) {
-  PushCost cost;
-  std::size_t pushes = 0;
-  double total_us = 0.0;
-  for (std::size_t i = 0; i < rec.ecg_mv.size(); i += chunk) {
-    const std::size_t len = std::min(chunk, rec.ecg_mv.size() - i);
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto got = engine.push(SignalView(rec.ecg_mv.data() + i, len),
-                                 SignalView(rec.z_ohm.data() + i, len));
-    const auto t1 = std::chrono::steady_clock::now();
-    total_us += std::chrono::duration<double, std::micro>(t1 - t0).count();
-    cost.beats += got.size();
-    ++pushes;
-  }
-  cost.beats += engine.finish().size();
-  cost.mean_us_per_push = pushes > 0 ? total_us / static_cast<double>(pushes) : 0.0;
-  return cost;
-}
-
-struct StreamingRow {
-  std::size_t chunk;
-  PushCost legacy, incremental;
-  [[nodiscard]] double speedup() const {
-    return incremental.mean_us_per_push > 0.0
-               ? legacy.mean_us_per_push / incremental.mean_us_per_push
-               : 0.0;
-  }
-};
-
-} // namespace
 
 int main() {
   using namespace icgkit;
@@ -107,65 +57,5 @@ int main() {
       .add(radio.raw_streaming_duty_cycle(250.0), 6);
   rt.print(std::cout);
 
-  // ------------------------------------------------------------------
-  // Per-push cost: windowed recompute (the seed's streaming adapter,
-  // O(window) per chunk) vs the incremental engine (O(chunk) per chunk).
-  // ------------------------------------------------------------------
-  report::banner(std::cout,
-                 "Streaming per-push cost: windowed recompute vs incremental engine");
-  const double fs = 250.0;
-  const auto roster = synth::paper_roster();
-  synth::RecordingConfig rcfg;
-  rcfg.duration_s = 60.0;
-  const synth::SourceActivity src = generate_source(roster[0], rcfg);
-  const synth::Recording rec = measure_thoracic(roster[0], src, 50e3);
-
-  std::vector<StreamingRow> rows;
-  for (const std::size_t chunk : {std::size_t{16}, std::size_t{64}, std::size_t{256}}) {
-    StreamingRow row;
-    row.chunk = chunk;
-    core::WindowedRecomputePipeline legacy(fs, {});
-    row.legacy = measure_per_push(legacy, rec, chunk);
-    core::StreamingBeatPipeline incremental(fs, {});
-    row.incremental = measure_per_push(incremental, rec, chunk);
-    rows.push_back(row);
-  }
-
-  report::Table st({"chunk", "recompute us/push", "incremental us/push", "speedup",
-                    "beats old", "beats new"});
-  double speedup_at_64 = 0.0;
-  for (const StreamingRow& row : rows) {
-    st.row()
-        .add(static_cast<double>(row.chunk), 0)
-        .add(row.legacy.mean_us_per_push, 1)
-        .add(row.incremental.mean_us_per_push, 1)
-        .add(row.speedup(), 1)
-        .add(static_cast<double>(row.legacy.beats), 0)
-        .add(static_cast<double>(row.incremental.beats), 0);
-    if (row.chunk == 64) speedup_at_64 = row.speedup();
-  }
-  st.print(std::cout);
-  const bool speedup_ok = speedup_at_64 >= 10.0;
-  std::cout << "(acceptance: >= 10x lower per-push cost at 64-sample chunks; measured "
-            << speedup_at_64 << "x)\n";
-
-  std::ofstream json("BENCH_streaming.json");
-  json << "{\n  \"fs_hz\": " << fs << ",\n  \"recording_s\": " << rcfg.duration_s
-       << ",\n  \"window_s\": 12.0,\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const StreamingRow& row = rows[i];
-    json << "    {\"chunk\": " << row.chunk
-         << ", \"recompute_us_per_push\": " << row.legacy.mean_us_per_push
-         << ", \"incremental_us_per_push\": " << row.incremental.mean_us_per_push
-         << ", \"speedup\": " << row.speedup()
-         << ", \"beats_recompute\": " << row.legacy.beats
-         << ", \"beats_incremental\": " << row.incremental.beats << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  json << "  ],\n  \"speedup_at_64\": " << speedup_at_64
-       << ",\n  \"acceptance_min_speedup_at_64\": 10.0,\n  \"pass\": "
-       << (speedup_ok ? "true" : "false") << "\n}\n";
-  std::cout << "(written to BENCH_streaming.json)\n";
-
-  return (band_found && speedup_ok) ? 0 : 1;
+  return band_found ? 0 : 1;
 }

@@ -5,12 +5,30 @@
 #include "core/delineator.h"
 #include "core/icg_filter.h"
 #include "core/pipeline.h"
+#include "core/stream.h"
 #include "report/table.h"
 #include "repro_common.h"
 
 #include <cmath>
+#include <cstdint>
 #include <iostream>
 #include <string>
+#include <vector>
+
+namespace {
+
+// One stage of the pipeline's front over the whole recording: the
+// filtered trace the delineator reads, index-aligned with the input.
+template <typename Stage>
+icgkit::dsp::Signal filtered(Stage stage, icgkit::dsp::SignalView x) {
+  icgkit::dsp::Signal out;
+  std::vector<std::uint32_t> cum;
+  stage.process_chunk(x, out, cum);
+  stage.finish(out);
+  return out;
+}
+
+} // namespace
 
 int main() {
   using namespace icgkit;
@@ -20,6 +38,8 @@ int main() {
 
   const core::BeatPipeline pipeline(bench::kFs);
   const core::PipelineResult res = pipeline.process(rec.ecg_mv, rec.z_ohm);
+  const dsp::Signal ecg = filtered(core::EcgCleanerStage(bench::kFs), rec.ecg_mv);
+  const dsp::Signal icg = filtered(core::IcgConditionerStage(bench::kFs), rec.z_ohm);
 
   // Pick a mid-recording usable beat.
   const core::BeatRecord* beat = nullptr;
@@ -36,24 +56,24 @@ int main() {
   report::banner(std::cout, "Fig 5: ICG and ECG waveform with characteristic points");
   const std::size_t start = beat->points.r > 25 ? beat->points.r - 25 : 0;
   const std::size_t stop =
-      std::min(res.filtered_icg.size(), beat->points.x + 50);
+      std::min(icg.size(), beat->points.x + 50);
 
   // ASCII rendering: 24 rows, one column per two samples.
   const int rows = 16;
   double icg_min = 1e300, icg_max = -1e300;
   for (std::size_t i = start; i < stop; ++i) {
-    icg_min = std::min(icg_min, res.filtered_icg[i]);
-    icg_max = std::max(icg_max, res.filtered_icg[i]);
+    icg_min = std::min(icg_min, icg[i]);
+    icg_max = std::max(icg_max, icg[i]);
   }
   std::vector<std::string> canvas(rows + 1, std::string((stop - start) / 2 + 1, ' '));
   auto row_of = [&](double v) {
     return rows - static_cast<int>(std::lround((v - icg_min) / (icg_max - icg_min) * rows));
   };
   for (std::size_t i = start; i < stop; i += 2)
-    canvas[static_cast<std::size_t>(row_of(res.filtered_icg[i]))][(i - start) / 2] = '*';
+    canvas[static_cast<std::size_t>(row_of(icg[i]))][(i - start) / 2] = '*';
   auto mark = [&](std::size_t idx, char ch) {
     if (idx >= start && idx < stop)
-      canvas[static_cast<std::size_t>(row_of(res.filtered_icg[idx]))][(idx - start) / 2] = ch;
+      canvas[static_cast<std::size_t>(row_of(icg[idx]))][(idx - start) / 2] = ch;
   };
   mark(beat->points.b, 'B');
   mark(beat->points.c, 'C');
@@ -88,7 +108,7 @@ int main() {
   // CSV dump of the beat (ECG + ICG) for external plotting.
   std::cout << "\nCSV (t_s, ecg_mv, icg_ohm_per_s):\n";
   for (std::size_t i = start; i < stop; i += 2)
-    std::cout << static_cast<double>(i) / bench::kFs << ',' << res.filtered_ecg[i] << ','
-              << res.filtered_icg[i] << '\n';
+    std::cout << static_cast<double>(i) / bench::kFs << ',' << ecg[i] << ','
+              << icg[i] << '\n';
   return 0;
 }

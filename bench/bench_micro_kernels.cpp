@@ -10,6 +10,7 @@
 #include "core/hemodynamics.h"
 #include "core/pipeline.h"
 #include "core/quality.h"
+#include "core/stream.h"
 #include "dsp/backend.h"
 #include "dsp/biquad.h"
 #include "dsp/butterworth.h"
@@ -221,9 +222,12 @@ const TailWorkload& tail_workload() {
     const auto src = generate_source(roster[0], cfg);
     const auto rec = measure_device(roster[0], src, 50e3, synth::Position::ArmsOutstretched);
     const core::BeatPipeline pipeline(kFs);
-    auto result = pipeline.process(rec.ecg_mv, rec.z_ohm);
+    const auto result = pipeline.process(rec.ecg_mv, rec.z_ohm);
     TailWorkload out;
-    out.icg = std::move(result.filtered_icg);
+    core::IcgConditionerStage icg_stage(kFs);
+    std::vector<std::uint32_t> cum;
+    icg_stage.process_chunk(rec.z_ohm, out.icg, cum);
+    icg_stage.finish(out.icg);
     out.z0_ohm = result.z0_mean_ohm;
     for (const auto& beat : result.beats) {
       out.r.push_back(beat.points.r);

@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
 """Bench-regression gate for the Release CI job.
 
-Compares the JSON the benches just wrote (BENCH_streaming.json,
-BENCH_fleet.json, BENCH_fixed.json, BENCH_scenarios.json,
-BENCH_checkpoint.json, BENCH_batch.json, BENCH_replay.json) against
-the committed floors in bench/bench_baselines.json and exits non-zero
-on any regression, so a change that silently erodes the streaming
-speedup, fleet scaling, the fixed-point pipeline's beat-level
-accuracy, the corruption robustness, the checkpoint subsystem's blob
-economy, or the flight recorder's replay fidelity fails the build
-instead of landing.
+Compares the JSON the benches just wrote (BENCH_fleet.json,
+BENCH_fixed.json, BENCH_scenarios.json, BENCH_checkpoint.json,
+BENCH_batch.json, BENCH_replay.json) against the committed floors in
+bench/bench_baselines.json and exits non-zero on any regression, so a
+change that silently erodes fleet scaling, the fixed-point pipeline's
+beat-level accuracy, the corruption robustness, the checkpoint
+subsystem's blob economy, the batch backend, or the flight recorder's
+replay fidelity fails the build instead of landing.
 
 Every expected input is checked up front: a missing or unparseable
 BENCH_*.json (or baseline key) produces one clear per-file/per-key
@@ -38,9 +37,12 @@ share one floor instead of drifting apart.
 
 The firmware-profile CI job runs `--only footprint` instead: it checks
 just BENCH_footprint.json (written by ci/extract_footprint.py over
-libicgkit_embedded.a) against the committed .text/.bss budgets, so a
-change that bloats the embedded library past its flash/RAM allowance
-fails that job without requiring the hosted benches to have run.
+libicgkit_embedded.a and the linked embed_smoke image) against the
+committed budgets: the archive's .text/.bss totals, and the .text of
+the image a firmware actually links, which drops every member no ABI
+call reaches. So a change that bloats the embedded library past its
+flash/RAM allowance fails that job without requiring the hosted
+benches to have run.
 """
 import argparse
 import json
@@ -51,7 +53,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # Which bench executable (or tool) is responsible for each expected input.
 BENCH_INPUTS = {
-    "BENCH_streaming.json": "./bench_cpu_duty_cycle",
     "BENCH_fleet.json": "./bench_fleet_throughput",
     "BENCH_fixed.json": "./bench_fixed_pipeline",
     "BENCH_scenarios.json": "./bench_scenarios",
@@ -124,19 +125,24 @@ class Baselines:
 
 
 def check_footprint(footprint, baselines):
-    """Gates the embedded library's .text/.bss totals against the
-    committed budget, reporting actual vs budget (and the headroom or
-    overshoot) so a failure says how far over it went."""
+    """Gates the embedded library's .text/.bss totals and the linked
+    client image's .text against the committed budgets, reporting actual
+    vs budget (and the headroom or overshoot) so a failure says how far
+    over it went."""
     failures = []
     text_kb = footprint.get("text_bytes", float("inf")) / 1024.0
     bss_kb = footprint.get("bss_bytes", float("inf")) / 1024.0
     data_kb = footprint.get("data_bytes", 0.0) / 1024.0
+    linked_kb = footprint.get("linked_text_bytes", float("inf")) / 1024.0
     text_budget = baselines["footprint_max_text_kb"]
     bss_budget = baselines["footprint_max_bss_kb"]
+    linked_budget = baselines["footprint_max_linked_text_kb"]
+    image = footprint.get("linked_image", "linked image")
 
     for label, actual, budget in (
             (".text (flash)", text_kb, text_budget),
-            (".bss (static RAM)", bss_kb, bss_budget)):
+            (".bss (static RAM)", bss_kb, bss_budget),
+            (f"{image} linked .text", linked_kb, linked_budget)):
         delta = actual - budget
         state = f"{-delta:.1f} KiB headroom" if delta <= 0 else f"{delta:.1f} KiB OVER"
         print(f"embedded {label}: {actual:.1f} KiB (budget {budget} KiB, {state})")
@@ -251,25 +257,17 @@ def main() -> int:
     inputs = load_inputs(HOSTED_INPUTS)
     base = Baselines(inputs["baselines"])
     # Per-gate views: a missing baseline key names the bench it belongs to.
-    b_stream = base.owned_by(BENCH_INPUTS["BENCH_streaming.json"])
     b_fleet = base.owned_by(BENCH_INPUTS["BENCH_fleet.json"])
     b_fixed = base.owned_by(BENCH_INPUTS["BENCH_fixed.json"])
     b_scen = base.owned_by(BENCH_INPUTS["BENCH_scenarios.json"])
     b_ckpt = base.owned_by(BENCH_INPUTS["BENCH_checkpoint.json"])
     b_batch = base.owned_by(BENCH_INPUTS["BENCH_batch.json"])
     b_replay = base.owned_by(BENCH_INPUTS["BENCH_replay.json"])
-    streaming = inputs["BENCH_streaming.json"]
     fleet = inputs["BENCH_fleet.json"]
     fixed = inputs["BENCH_fixed.json"]
     scenarios = inputs["BENCH_scenarios.json"]
     checkpoint = inputs["BENCH_checkpoint.json"]
     failures = []
-
-    speedup = streaming.get("speedup_at_64", 0.0)
-    floor = b_stream["streaming_speedup_at_64_min"]
-    print(f"streaming speedup at 64-sample chunks: {speedup:.1f}x (floor {floor}x)")
-    if speedup < floor:
-        failures.append(f"streaming speedup {speedup:.1f}x below floor {floor}x")
 
     sessions = fleet.get("sessions", 0)
     min_sessions = b_fleet["fleet_min_sessions"]

@@ -22,14 +22,15 @@
 // filtering through gaps too, so divergence lives entirely in the
 // per-lane tails.
 //
-// Lifecycle interop with the scalar world runs through the checkpoint
-// format: pack() consumes W scalar checkpoint blobs (cross-validated
-// for configuration agreement), unpack() produces W blobs any scalar
-// engine restores — which is how the fleet dissolves a batch back to
+// Lifecycle: a batch starts fresh — W sessions at stream position 0,
+// exactly the state of W newly built scalar engines, which is the only
+// state the fleet ever groups sessions in — and leaves through the
+// checkpoint format: unpack() produces W blobs any scalar engine
+// restores, which is how the fleet dissolves a batch back to
 // per-session engines when lanes diverge (finish, migration, chunk
-// shape mismatch). Both are the engine's own load_state()/save_state()
-// through the lane adaptors of core/checkpoint.h, so each blob is exactly
-// StreamingBeatPipeline's version-1 format, golden fixtures included.
+// shape mismatch). unpack() is the engine's own save_state() through
+// core::LaneStateWriter, so each blob is exactly StreamingBeatPipeline's
+// version-1 format, golden fixtures included.
 #pragma once
 
 #include "core/checkpoint.h"
@@ -53,12 +54,6 @@ class SessionBatchBase {
 
   [[nodiscard]] virtual std::size_t width() const = 0;
 
-  /// Loads W scalar session checkpoints (StreamingBeatPipeline blobs,
-  /// one per lane) into the batched engine. The sessions must share the
-  /// batch's configuration and be at the same stream position — any
-  /// disagreement throws CheckpointError and leaves the batch unusable.
-  virtual void pack(const std::vector<std::vector<std::uint8_t>>& blobs) = 0;
-
   /// Serializes the batch back into W scalar checkpoints, each
   /// restorable by a same-configuration StreamingBeatPipeline (blob l =
   /// lane l). `blobs` is resized to W; element capacity is reused.
@@ -80,8 +75,9 @@ class SessionBatchBase {
 
 /// The batch-backend engine behind the runtime-width interface: W
 /// lockstep sessions in one BasicStreamingBeatPipeline<BatchBackend<W>>,
-/// with pack()/unpack() its load_state()/save_state() through the lane
-/// adaptors. See the header comment for the identity contract.
+/// with unpack() its save_state() through the lane adaptor. A newly
+/// built batch equals W newly built scalar sessions. See the header
+/// comment for the identity contract.
 template <std::size_t W>
 class SessionBatch final : public SessionBatchBase {
  public:
@@ -97,18 +93,6 @@ class SessionBatch final : public SessionBatchBase {
   }
 
   void finish(std::vector<BeatRecord>* out) override { engine_.finish_lanes(out); }
-
-  void pack(const std::vector<std::vector<std::uint8_t>>& blobs) override {
-    if (blobs.size() != W)
-      throw CheckpointError("SessionBatch: pack() expects exactly W lane blobs");
-    std::vector<StateReader> readers;
-    readers.reserve(W);
-    for (const auto& blob : blobs) readers.emplace_back(blob);
-    LaneStateReader<W> r(readers.data());
-    engine_.load_state(r);
-    for (const StateReader& lr : readers)
-      if (!lr.at_end()) throw CheckpointError("SessionBatch: trailing bytes in a lane blob");
-  }
 
   void unpack(std::vector<std::vector<std::uint8_t>>& blobs) const override {
     blobs.resize(W);

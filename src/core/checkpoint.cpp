@@ -2,7 +2,12 @@
 
 #include <array>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+// The PCLMUL fold and its runtime CPU probe are host-only. The firmware
+// archive (ICGKIT_EMBEDDED, set by the icgkit_embedded target alone)
+// ships the table walk as its only CRC path: no MCU has PCLMUL, and the
+// probe alone links ~4.5 KiB of libgcc's CPU-feature detection.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(ICGKIT_EMBEDDED)
 #define ICGKIT_CRC_CLMUL 1
 #include <immintrin.h>
 #endif

@@ -37,9 +37,11 @@
 // dsp/ecg streaming kernels serialize through `template <typename W>
 // save_state(W&)` members, so the lower layers never include this
 // header (no dsp -> core dependency cycle) while core composes them
-// with the concrete StateWriter/StateReader below. LaneStateWriter /
-// LaneStateReader, at the end, fan that one layout out to W per-lane
-// blobs for the SIMD batch engine.
+// with the concrete StateWriter/StateReader below. LaneStateWriter, at
+// the end, fans that one layout out to W per-lane blobs for the SIMD
+// batch engine. Nothing reads a batch back: the fleet builds batches
+// fresh and dissolves them into scalar sessions, so every blob is read
+// by the plain StateReader.
 #pragma once
 
 #include <bit>
@@ -338,10 +340,6 @@ class StateReader {
   /// kernel length differs from the restore target's construction).
   [[noreturn]] void fail(const std::string& msg) const { ICGKIT_THROW(CheckpointError(msg)); }
 
-  /// Lane l's reader: the reader itself, since a plain blob holds one
-  /// session (see core::LaneStateReader for the W-lane fan-in).
-  [[nodiscard]] StateReader& lane_reader(std::size_t) { return *this; }
-
  private:
   static std::uint32_t le32(const std::uint8_t* p) {
     return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
@@ -406,70 +404,6 @@ class LaneStateWriter {
 
  private:
   StateWriter* lanes_;
-};
-
-/// StateReader fan-in, the inverse of LaneStateWriter: uniform fields
-/// are read from every lane and must agree bit for bit — the batched
-/// kernels advance all lanes in lockstep, so any disagreement means the
-/// blobs came from sessions at different stream positions (or different
-/// configurations) and packing them would corrupt every lane. LaneVec
-/// values gather one scalar per lane; per-lane kernels read their lane's
-/// plain reader via lane_reader().
-template <std::size_t W>
-class LaneStateReader {
- public:
-  /// `lanes` must point at W readers outliving this adaptor.
-  explicit LaneStateReader(StateReader* lanes) : lanes_(lanes) {}
-
-  std::uint8_t u8() { return uniform("u8", [](StateReader& r) { return r.u8(); }); }
-  std::uint32_t u32() { return uniform("u32", [](StateReader& r) { return r.u32(); }); }
-  std::uint64_t u64() { return uniform("u64", [](StateReader& r) { return r.u64(); }); }
-  std::int32_t i32() { return uniform("i32", [](StateReader& r) { return r.i32(); }); }
-  std::int64_t i64() { return uniform("i64", [](StateReader& r) { return r.i64(); }); }
-  bool boolean() { return uniform("boolean", [](StateReader& r) { return r.boolean(); }); }
-  double f64() {
-    // Compared as bit patterns: lockstep lanes must match exactly, and a
-    // NaN payload difference is as much a divergence as any other.
-    return std::bit_cast<double>(
-        uniform("f64", [](StateReader& r) { return r.u64(); }));
-  }
-
-  template <typename T>
-  T value() {
-    static_assert(std::is_same_v<T, dsp::LaneVec<W>>,
-                  "LaneStateReader::value: batched kernels read LaneVec values");
-    dsp::LaneVec<W> v{};
-    for (std::size_t l = 0; l < W; ++l) v.set_lane(l, lanes_[l].template value<double>());
-    return v;
-  }
-
-  void begin_section(const char (&tag)[5]) {
-    for (std::size_t l = 0; l < W; ++l) lanes_[l].begin_section(tag);
-  }
-  void end_section() {
-    for (std::size_t l = 0; l < W; ++l) lanes_[l].end_section();
-  }
-
-  [[nodiscard]] std::size_t section_remaining() const {
-    return lanes_[0].section_remaining();
-  }
-
-  [[noreturn]] void fail(const std::string& msg) const { ICGKIT_THROW(CheckpointError(msg)); }
-
-  [[nodiscard]] StateReader& lane_reader(std::size_t l) { return lanes_[l]; }
-
- private:
-  template <typename F>
-  auto uniform(const char* what, F&& read) {
-    auto v0 = read(lanes_[0]);
-    for (std::size_t l = 1; l < W; ++l)
-      if (read(lanes_[l]) != v0)
-        ICGKIT_THROW(CheckpointError(std::string("SessionBatch: lanes disagree on a uniform ") +
-                                     what + " field (sessions not in lockstep)"));
-    return v0;
-  }
-
-  StateReader* lanes_;
 };
 
 } // namespace icgkit::core

@@ -122,11 +122,10 @@ void SessionManager::form_batch_groups() {
   // Group batch_width same-worker sessions (in id order) into lockstep
   // SIMD batches. Every session shares this manager's configuration, and
   // none has been *processed* yet (workers aren't running — pre-start
-  // submits are still queued), so the lanes are trivially in lockstep at
-  // position 0 and pack() always succeeds. The pack goes through the
-  // real checkpoint format on purpose: it is the same path a future
-  // repack of live sessions would use, and it keeps the batch engine's
-  // state provably equal to the scalar engines it absorbed.
+  // submits are still queued), so every lane sits at stream position 0:
+  // a freshly built batch already holds exactly the state of the fresh
+  // scalar engines it takes over (batch_test pins unpack() of a new
+  // batch against their checkpoints).
   const std::size_t width = cfg_.batch_width;
   std::vector<Session*> cohort;
   for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
@@ -148,9 +147,6 @@ void SessionManager::form_batch_groups() {
       g->lane_blobs.resize(width);
       g->ecg_ptrs.resize(width);
       g->z_ptrs.resize(width);
-      for (std::size_t l = 0; l < width; ++l)
-        g->lanes[l]->engine.checkpoint_into(g->lane_blobs[l]);
-      g->batch->pack(g->lane_blobs);
       g->packed = true;
       for (std::size_t l = 0; l < width; ++l) {
         g->lanes[l]->group = g.get();

@@ -301,7 +301,7 @@ class SessionManager {
     std::vector<std::uint32_t> stash_len;    ///< lanes * slots
     std::vector<std::size_t> head, count;    ///< per-lane FIFO state
     std::vector<std::vector<BeatRecord>> lane_beats;       ///< reused
-    std::vector<std::vector<std::uint8_t>> lane_blobs;     ///< pack/unpack reuse
+    std::vector<std::vector<std::uint8_t>> lane_blobs;     ///< unpack reuse
     std::vector<const dsp::Sample*> ecg_ptrs, z_ptrs;      ///< reused
   };
 

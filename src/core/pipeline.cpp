@@ -39,7 +39,6 @@ PipelineResult BeatPipeline::process(dsp::SignalView ecg_mv, dsp::SignalView z_o
   // One big chunk through the streaming engine (default window), so the
   // records here are byte-identical to any chunked feed.
   StreamingBeatPipeline engine(fs_, cfg_);
-  engine.enable_capture();
   result.beats = engine.push(ecg_mv, z_ohm);
   std::vector<BeatRecord> tail = engine.finish();
   result.beats.insert(result.beats.end(), std::make_move_iterator(tail.begin()),
@@ -47,8 +46,6 @@ PipelineResult BeatPipeline::process(dsp::SignalView ecg_mv, dsp::SignalView z_o
 
   result.z0_mean_ohm = engine.z_mean_ohm();
   result.r_peak_count = engine.r_peak_count();
-  result.filtered_ecg = engine.captured_ecg();
-  result.filtered_icg = engine.captured_icg();
 
   std::vector<BeatHemodynamics> usable;
   for (const BeatRecord& rec : result.beats)

@@ -108,8 +108,6 @@ struct PipelineResult {
   HemodynamicsSummary summary;       ///< over usable beats only
   double z0_mean_ohm = 0.0;          ///< mean of the impedance trace
   std::size_t r_peak_count = 0;
-  dsp::Signal filtered_ecg;          ///< retained for inspection/benches
-  dsp::Signal filtered_icg;
 };
 
 namespace detail {
@@ -697,7 +695,9 @@ class BeatAssembler {
 /// BeatAssembler<DoubleBackend>, the state whose control flow diverges
 /// per session. core::SessionBatch wraps that instantiation. The scalar
 /// backends have one lane; the single-session members (SignalView push,
-/// finish, checkpoint blobs, capture) exist only there.
+/// finish, checkpoint blobs, load_state/restore) exist only there. A
+/// batch only ever saves its state (SessionBatch::unpack): the fleet
+/// builds batches fresh and dissolves them into scalar sessions.
 template <typename B>
 class BasicStreamingBeatPipeline {
  public:
@@ -784,18 +784,12 @@ class BasicStreamingBeatPipeline {
     ecg_scratch_.clear();
     ecg_stage_.finish(ecg_scratch_);
     for (auto& rs : r_scratch_) rs.clear();
-    for (const sample_t v : ecg_scratch_) {
-      if (capture_) captured_ecg_.push_back(ecg_real(B::lane(v, 0)));
-      qrs_.push(v, r_scratch_);
-    }
+    for (const sample_t v : ecg_scratch_) qrs_.push(v, r_scratch_);
     qrs_.finish(r_scratch_);
 
     for (std::size_t l = 0; l < kLanes; ++l) {
       Assembler& a = assemblers_[l];
-      for (const sample_t v : icg_scratch_) {
-        a.on_icg_sample(B::lane(v, l));
-        if (capture_) captured_icg_.push_back(icg_real(B::lane(v, l)));
-      }
+      for (const sample_t v : icg_scratch_) a.on_icg_sample(B::lane(v, l));
       a.maybe_drain_ensemble();
       for (const std::size_t r : r_scratch_[l]) a.on_r_peak(r);
       a.drain_ready(out[l]);
@@ -813,18 +807,6 @@ class BasicStreamingBeatPipeline {
   /// Running mean of the impedance trace consumed so far.
   [[nodiscard]] double z_mean_ohm() const requires(kLanes == 1) {
     return assemblers_[0].z_mean_ohm();
-  }
-
-  /// Records the aligned filtered ECG/ICG streams (used by the batch
-  /// wrapper to fill PipelineResult; off by default to keep streaming
-  /// memory bounded). Always captured in real units (mV / Ohm per
-  /// second), whatever the backend.
-  void enable_capture() requires(kLanes == 1) { capture_ = true; }
-  [[nodiscard]] const dsp::Signal& captured_ecg() const requires(kLanes == 1) {
-    return captured_ecg_;
-  }
-  [[nodiscard]] const dsp::Signal& captured_icg() const requires(kLanes == 1) {
-    return captured_icg_;
   }
 
   /// Running per-session (per-lane) quality aggregate: every emitted
@@ -852,13 +834,9 @@ class BasicStreamingBeatPipeline {
   /// sections are per lane: lane l's go to w.lane_writer(l), which is the
   /// writer itself for a plain StateWriter; under a lane adaptor
   /// (core::LaneStateWriter) every lane's byte stream is this same
-  /// scalar layout. Throws CheckpointError when capture is enabled (the
-  /// unbounded capture buffers are a batch-wrapper diagnostic, not
-  /// session state).
+  /// scalar layout.
   template <typename W>
   void save_state(W& w) const {
-    if (capture_)
-      ICGKIT_THROW(CheckpointError("StreamingBeatPipeline: cannot checkpoint with capture enabled"));
     w.begin_section("CFG ");
     w.u8(B::kFixed ? 1 : 0);
     w.f64(fs_);
@@ -904,13 +882,13 @@ class BasicStreamingBeatPipeline {
     }
   }
 
-  /// Restores the session from `r` (per-lane sections through
-  /// r.lane_reader(l), mirroring save_state). The target must have been
-  /// constructed with the same configuration (backend, sample rate,
-  /// window, stage layout); any disagreement throws CheckpointError and
-  /// leaves the pipeline in an unspecified state — discard it.
+  /// Restores the session from `r`, mirroring save_state. The target
+  /// must have been constructed with the same configuration (backend,
+  /// sample rate, window, stage layout); any disagreement throws
+  /// CheckpointError and leaves the pipeline in an unspecified state —
+  /// discard it.
   template <typename R>
-  void load_state(R& r) {
+  void load_state(R& r) requires(kLanes == 1) {
     r.begin_section("CFG ");
     if (r.u8() != (B::kFixed ? 1 : 0))
       r.fail("StreamingBeatPipeline: numeric-backend mismatch");
@@ -932,30 +910,26 @@ class BasicStreamingBeatPipeline {
     qrs_.load_state(r);
     r.end_section();
 
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      auto& lr = r.lane_reader(l);
-      Assembler& a = assemblers_[l];
+    Assembler& a = assemblers_[0];
+    r.begin_section("RING");
+    a.load_ring_body(r);
+    r.end_section();
 
-      lr.begin_section("RING");
-      a.load_ring_body(lr);
-      lr.end_section();
+    r.begin_section("BEAT");
+    a.load_beat_body(r);
+    r.end_section();
 
-      lr.begin_section("BEAT");
-      a.load_beat_body(lr);
-      lr.end_section();
+    r.begin_section("GAPS");
+    a.load_gaps_body(r);
+    r.end_section();
 
-      lr.begin_section("GAPS");
-      a.load_gaps_body(lr);
-      lr.end_section();
+    r.begin_section("QSUM");
+    a.load_qsum_body(r);
+    r.end_section();
 
-      lr.begin_section("QSUM");
-      a.load_qsum_body(lr);
-      lr.end_section();
-
-      lr.begin_section("ENSB");
-      a.load_ensb_body(lr);
-      lr.end_section();
-    }
+    r.begin_section("ENSB");
+    a.load_ensb_body(r);
+    r.end_section();
   }
 
   /// Serializes the session into `blob` (replaced; its capacity is
@@ -1021,17 +995,6 @@ class BasicStreamingBeatPipeline {
     }
   }
 
-  // Lane-sample -> real-unit conversions for capture. The double scales
-  // are fixed at 1 and these collapse to identity.
-  [[nodiscard]] double ecg_real(lane_t v) const {
-    if constexpr (L::kFixed) return L::to_real(v) * ecg_scale_;
-    else return v;
-  }
-  [[nodiscard]] double icg_real(lane_t v) const {
-    if constexpr (L::kFixed) return L::to_real(v) * icg_scale_;
-    else return v;
-  }
-
   dsp::SampleRate fs_;
   PipelineConfig cfg_;
   std::size_t window_samples_;
@@ -1042,8 +1005,6 @@ class BasicStreamingBeatPipeline {
   ecg::BasicOnlinePanTompkins<B> qrs_;
   std::array<Assembler, kLanes> assemblers_;  ///< one per lane
 
-  bool capture_ = false;
-  dsp::Signal captured_ecg_, captured_icg_;
   std::vector<sample_t> ecg_scratch_, icg_scratch_;
   std::vector<std::size_t> r_scratch_[kLanes];  ///< per-lane R peaks
   // Two-phase push arenas: staged input copies (Q31 and batch backends),
@@ -1102,18 +1063,14 @@ void BasicStreamingBeatPipeline<B>::push_lanes(const double* const* ecg_mv,
     std::uint32_t icg_lo = 0, ecg_lo = 0;
     for (std::size_t i = 0; i < n; ++i) {
       a.on_raw_sample(ecg_raw[i], z_raw[i], B::lane(z[i], l), [&tail] { tail.soft_reset(); });
-      for (std::uint32_t k = icg_lo; k < icg_cum_[i]; ++k) {
-        const lane_t v = B::lane(icg_scratch_[k], l);
-        a.on_icg_sample(v);
-        if (capture_) captured_icg_.push_back(icg_real(v));
-      }
+      for (std::uint32_t k = icg_lo; k < icg_cum_[i]; ++k)
+        a.on_icg_sample(B::lane(icg_scratch_[k], l));
       icg_lo = icg_cum_[i];
       a.maybe_drain_ensemble();
 
       rs.clear();
       for (std::uint32_t k = ecg_lo; k < ecg_cum_[i]; ++k) {
         const lane_t v = B::lane(ecg_scratch_[k], l);
-        if (capture_) captured_ecg_.push_back(ecg_real(v));
         tail.note_input(v);
         const std::uint32_t f_lo = k > 0 ? feat_cum_[k - 1] : 0;
         for (std::uint32_t f = f_lo; f < feat_cum_[k]; ++f)

@@ -156,10 +156,11 @@ using StreamingExtremum = BasicStreamingExtremum<DoubleBackend>;
 /// BasicStreamingExtremum<DoubleBackend> comparisons in the same order,
 /// preserving the batch byte-identity contract.
 ///
-/// Checkpointing is per-lane: save_state/load_state require a lane
-/// adaptor (core::LaneStateWriter/Reader) and write lane i's deque in
-/// the exact scalar wire layout, so a packed batch round-trips through
-/// the existing per-session checkpoint format.
+/// Checkpointing is save-only and per-lane: save_state requires a lane
+/// adaptor (core::LaneStateWriter) and writes lane i's deque in the
+/// exact scalar wire layout, so a batch dissolves into the existing
+/// per-session checkpoint format. Nothing restores a batch, so there is
+/// no load_state.
 template <typename B>
 class BatchStreamingExtremum {
  public:
@@ -208,35 +209,6 @@ class BatchStreamingExtremum {
       pw.u64(pushed_);
       pw.u64(emitted_);
     }
-  }
-
-  template <typename R>
-  void load_state(R& r) {
-    std::size_t pushed = 0, emitted = 0;
-    for (std::size_t l = 0; l < kLanes; ++l) {
-      auto& pr = r.lane_reader(l);
-      auto& dq = lanes_[l];
-      if (pr.u64() != dq.capacity()) pr.fail("BatchStreamingExtremum: width mismatch");
-      const std::size_t n = pr.u64();
-      if (n > dq.capacity()) pr.fail("BatchStreamingExtremum: deque overflow");
-      dq.clear();
-      for (std::size_t i = 0; i < n; ++i) {
-        Entry e;
-        e.idx = pr.u64();
-        e.v = pr.template value<double>();
-        dq.push(e);
-      }
-      const std::size_t p = pr.u64();
-      const std::size_t m = pr.u64();
-      if (l == 0) {
-        pushed = p;
-        emitted = m;
-      } else if (p != pushed || m != emitted) {
-        pr.fail("BatchStreamingExtremum: lanes are not aligned");
-      }
-    }
-    pushed_ = pushed;
-    emitted_ = emitted;
   }
 
   [[nodiscard]] std::size_t delay() const { return half_; }

@@ -578,14 +578,16 @@ class BasicOnlinePanTompkins {
     for (std::size_t l = 0; l < kLanes; ++l) tails_[l].save_state(w.lane_writer(l));
   }
 
+  /// Scalar backends only: a batch is never restored (see
+  /// core::SessionBatch).
   template <typename R>
-  void load_state(R& r) {
+  void load_state(R& r) requires(kLanes == 1) {
     bp_.load_state(r);
     for (sample_t& v : bp_hist_) v = r.template value<sample_t>();
     bp_count_ = r.u64();
     d_emitted_ = r.u64();
     mwi_.load_state(r);
-    for (std::size_t l = 0; l < kLanes; ++l) tails_[l].load_state(r.lane_reader(l));
+    tails_[0].load_state(r);
   }
 
  private:

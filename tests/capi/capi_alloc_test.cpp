@@ -6,63 +6,19 @@
 // the PR-2 zero-steady-state-allocation property through the boundary.
 //
 // Same technique as tests/core/fleet_alloc_test.cpp: this binary
-// replaces the global operator new/delete with counting versions that
-// bump core::allocation_counter(); AllocationProbe reads the delta
-// around the measured region.
+// replaces the global operator new/delete with the counting versions of
+// common/counting_allocator.h, which bump core::allocation_counter();
+// AllocationProbe reads the delta around the measured region.
 #include "capi/icgkit.h"
 
+#include "common/counting_allocator.h"
 #include "core/alloc_probe.h"
 #include "synth/recording.h"
 #include "synth/subject.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
 #include <vector>
-
-// ---------------------------------------------------------------------------
-// Counting global allocator (plain, nothrow, over-aligned forms).
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void* counted_alloc(std::size_t n) {
-  icgkit::core::allocation_counter().fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-
-void* counted_aligned_alloc(std::size_t n, std::size_t align) {
-  icgkit::core::allocation_counter().fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align, n ? n : align) != 0)
-    return nullptr;
-  return p;
-}
-
-} // namespace
-
-void* operator new(std::size_t n) {
-  if (void* p = counted_alloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return counted_alloc(n); }
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  if (void* p = counted_aligned_alloc(n, static_cast<std::size_t>(al))) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace {
 

@@ -160,12 +160,6 @@ TEST(BatchTailTest, BatchDeferredTailMatchesScalarUnderSevereCorruption) {
 
   for (const std::size_t chunk : kChunkSizes) {
     SessionBatch<W> batch(kFs);
-    {
-      std::vector<std::vector<std::uint8_t>> blobs;
-      for (std::size_t l = 0; l < W; ++l)
-        blobs.push_back(StreamingBeatPipeline(kFs).checkpoint());
-      batch.pack(blobs);
-    }
     std::array<std::vector<BeatRecord>, W> beats;
     std::array<const double*, W> ecg{}, z{};
     const std::size_t n = recs[0].ecg_mv.size();
@@ -211,10 +205,6 @@ TEST(BatchTailTest, DissolveOnBeatEmissionBoundaryStaysIdentical) {
   // dissolve boundary then coincides with a beat emission on lane 0
   // while the other lanes sit mid-window at unrelated phases.
   SessionBatch<W> batch(kFs, cfg);
-  std::vector<std::vector<std::uint8_t>> blobs;
-  for (std::size_t l = 0; l < W; ++l)
-    blobs.push_back(StreamingBeatPipeline(kFs, cfg).checkpoint());
-  batch.pack(blobs);
 
   std::array<std::vector<BeatRecord>, W> beats;
   std::array<const double*, W> ecg{}, z{};
@@ -234,6 +224,7 @@ TEST(BatchTailTest, DissolveOnBeatEmissionBoundaryStaysIdentical) {
   ASSERT_GT(cut, 0u) << "lane 0 never emitted four beats";
   ASSERT_LT(cut, n);
 
+  std::vector<std::vector<std::uint8_t>> blobs;
   batch.unpack(blobs);
   for (std::size_t l = 0; l < W; ++l) {
     auto resumed = std::make_unique<StreamingBeatPipeline>(kFs, cfg);

@@ -2,10 +2,11 @@
 // SessionBatch<W> emits BeatRecords byte-identical to a scalar
 // StreamingBeatPipeline fed the same per-lane stream — at any chunking,
 // under divergent per-lane corruption (dropout gaps opening and closing
-// at different times per lane), and across the checkpoint boundary in
-// both directions (pack scalar blobs -> batched engine, unpack -> scalar
-// engines resume). "Byte-identical" is meant literally: EXPECT_EQ on
-// every double, not a tolerance.
+// at different times per lane), and across the checkpoint boundary
+// (unpack -> scalar engines resume), including at stream position 0,
+// where a freshly built batch must equal W fresh scalar sessions.
+// "Byte-identical" is meant literally: EXPECT_EQ on every double, not a
+// tolerance.
 #include "core/batch.h"
 #include "core/pipeline.h"
 #include "synth/recording.h"
@@ -93,16 +94,6 @@ void expect_identical_summary(const QualitySummary& a, const QualitySummary& b,
   EXPECT_EQ(a.min_snr_db, b.min_snr_db) << tag();
 }
 
-/// Fresh scalar checkpoints for W new sessions (the fleet packs groups
-/// the same way: engines checkpointed before their first chunk).
-std::vector<std::vector<std::uint8_t>> fresh_lane_blobs(std::size_t w,
-                                                        const PipelineConfig& cfg = {}) {
-  std::vector<std::vector<std::uint8_t>> blobs;
-  for (std::size_t l = 0; l < w; ++l)
-    blobs.push_back(StreamingBeatPipeline(kFs, cfg).checkpoint());
-  return blobs;
-}
-
 template <std::size_t W>
 std::array<std::vector<BeatRecord>, W> run_batch(
     SessionBatch<W>& batch, const std::vector<synth::Recording>& recs,
@@ -134,7 +125,6 @@ TEST(SessionBatchTest, LanesAreByteIdenticalToScalarAcrossChunkSizes) {
 
   for (const std::size_t chunk : kChunkSizes) {
     SessionBatch<W> batch(kFs);
-    batch.pack(fresh_lane_blobs(W));
     const auto got = run_batch(batch, recs, chunk);
     for (std::size_t l = 0; l < W; ++l) {
       ASSERT_EQ(got[l].size(), expected[l].size()) << "lane " << l << " chunk " << chunk;
@@ -150,7 +140,6 @@ TEST(SessionBatchTest, WidthEightLanesMatchScalar) {
   for (std::size_t l = 0; l < W; ++l) recs.push_back(make_recording(l, 20.0));
 
   SessionBatch<W> batch(kFs);
-  batch.pack(fresh_lane_blobs(W));
   const auto got = run_batch(batch, recs, 64);
   for (std::size_t l = 0; l < W; ++l) {
     const auto expected = run_scalar(recs[l]);
@@ -186,7 +175,6 @@ TEST(SessionBatchTest, DivergentDropoutGapsPerLaneStayIdentical) {
   }
 
   SessionBatch<W> batch(kFs);
-  batch.pack(fresh_lane_blobs(W));
   const auto got = run_batch(batch, recs, 64);
   for (std::size_t l = 0; l < W; ++l) {
     ASSERT_EQ(got[l].size(), expected[l].size()) << "lane " << l;
@@ -199,75 +187,13 @@ TEST(SessionBatchTest, DivergentDropoutGapsPerLaneStayIdentical) {
                               "the divergence this test exists for never happened";
 }
 
-TEST(SessionBatchTest, PackedCheckpointRestoresIntoScalarSessions) {
-  // Mid-stream round trip: scalar sessions -> pack -> batched advance ->
-  // unpack -> scalar sessions resume. Every lane must finish with the
-  // beat stream and quality aggregate of an uninterrupted scalar run.
-  constexpr std::size_t W = 4;
-  PipelineConfig cfg;
-  cfg.enable_ensemble = true;  // exercises the ENSB body per lane
-  std::vector<synth::Recording> recs;
-  std::vector<std::vector<BeatRecord>> expected;
-  for (std::size_t l = 0; l < W; ++l) {
-    recs.push_back(make_recording(l, 25.0));
-    expected.push_back(run_scalar(recs.back(), cfg));
-  }
-  const std::size_t n = recs[0].ecg_mv.size();
-  const std::size_t cut_a = n / 3;      // scalar until here
-  const std::size_t cut_b = 2 * n / 3;  // batched until here, scalar after
-
-  // Phase 1: independent scalar sessions.
-  std::vector<std::unique_ptr<StreamingBeatPipeline>> engines;
-  std::array<std::vector<BeatRecord>, W> beats;
-  std::vector<std::vector<std::uint8_t>> blobs(W);
-  for (std::size_t l = 0; l < W; ++l) {
-    engines.push_back(std::make_unique<StreamingBeatPipeline>(kFs, cfg));
-    engines[l]->push_into(dsp::SignalView(recs[l].ecg_mv.data(), cut_a),
-                          dsp::SignalView(recs[l].z_ohm.data(), cut_a), beats[l]);
-    engines[l]->checkpoint_into(blobs[l]);
-  }
-
-  // Phase 2: pack into a batch and advance in lockstep.
-  SessionBatch<W> batch(kFs, cfg);
-  batch.pack(blobs);
-  EXPECT_EQ(batch.samples_consumed(), cut_a);
-  std::array<const double*, W> ecg{}, z{};
-  for (std::size_t i = cut_a; i < cut_b; i += 64) {
-    const std::size_t len = std::min<std::size_t>(64, cut_b - i);
-    for (std::size_t l = 0; l < W; ++l) {
-      ecg[l] = recs[l].ecg_mv.data() + i;
-      z[l] = recs[l].z_ohm.data() + i;
-    }
-    batch.push(ecg.data(), z.data(), len, beats.data());
-  }
-
-  // Phase 3: unpack back into fresh scalar sessions and run to the end.
-  batch.unpack(blobs);
-  for (std::size_t l = 0; l < W; ++l) {
-    auto resumed = std::make_unique<StreamingBeatPipeline>(kFs, cfg);
-    resumed->restore(blobs[l]);
-    resumed->push_into(dsp::SignalView(recs[l].ecg_mv.data() + cut_b, n - cut_b),
-                       dsp::SignalView(recs[l].z_ohm.data() + cut_b, n - cut_b),
-                       beats[l]);
-    resumed->finish_into(beats[l]);
-
-    ASSERT_EQ(beats[l].size(), expected[l].size()) << "lane " << l;
-    for (std::size_t i = 0; i < beats[l].size(); ++i)
-      expect_identical_beat(beats[l][i], expected[l][i], l, i);
-
-    StreamingBeatPipeline reference(kFs, cfg);
-    std::vector<BeatRecord> sink;
-    reference.push_into(recs[l].ecg_mv, recs[l].z_ohm, sink);
-    reference.finish_into(sink);
-    expect_identical_summary(resumed->quality_summary(), reference.quality_summary(), l);
-  }
-}
-
 // The checkpoint half of the identity contract, checked on the bytes
-// themselves: a mid-stream unpack() equals, blob for blob, checkpoint()
-// of scalar sessions fed the same samples, and pack() then unpack() is
-// the identity. Severe corruption with a per-lane seed puts every lane's
-// gap machine, decision tail and ensemble queue in a different state.
+// themselves: unpack() equals, blob for blob, checkpoint() of scalar
+// sessions fed the same samples. The cuts are stream position 0 (a
+// freshly built batch is W fresh sessions, the state the fleet groups
+// sessions in) and mid-stream, where severe corruption with a per-lane
+// seed puts every lane's gap machine, decision tail and ensemble queue
+// in a different state.
 template <std::size_t W>
 void expect_unpacked_blobs_match_scalar() {
   PipelineConfig cfg;
@@ -278,59 +204,41 @@ void expect_unpacked_blobs_match_scalar() {
     apply_scenario(rec, synth::ScenarioSpec::severe(), /*seed=*/307 + l);
     recs.push_back(std::move(rec));
   }
-  const std::size_t cut = recs[0].ecg_mv.size() / 2 + 37;  // not on a chunk edge
+  // Position 0, then mid-stream off a chunk edge.
+  const std::size_t cuts[] = {0, recs[0].ecg_mv.size() / 2 + 37};
 
   SessionBatch<W> batch(kFs, cfg);
-  batch.pack(fresh_lane_blobs(W, cfg));
   std::vector<StreamingBeatPipeline> scalar;
   scalar.reserve(W);
   for (std::size_t l = 0; l < W; ++l) scalar.emplace_back(kFs, cfg);
   std::array<std::vector<BeatRecord>, W> beats;
   std::vector<BeatRecord> sink;
   std::array<const double*, W> ecg{}, z{};
-  for (std::size_t i = 0; i < cut; i += 64) {
-    const std::size_t len = std::min<std::size_t>(64, cut - i);
-    for (std::size_t l = 0; l < W; ++l) {
-      ecg[l] = recs[l].ecg_mv.data() + i;
-      z[l] = recs[l].z_ohm.data() + i;
-      scalar[l].push_into(dsp::SignalView(ecg[l], len), dsp::SignalView(z[l], len), sink);
-    }
-    batch.push(ecg.data(), z.data(), len, beats.data());
-  }
-
   std::vector<std::vector<std::uint8_t>> unpacked;
-  batch.unpack(unpacked);
-  ASSERT_EQ(unpacked.size(), W);
-  for (std::size_t l = 0; l < W; ++l)
-    EXPECT_EQ(unpacked[l], scalar[l].checkpoint()) << "W " << W << " lane " << l;
+  std::size_t i = 0;
+  for (const std::size_t cut : cuts) {
+    while (i < cut) {
+      const std::size_t len = std::min<std::size_t>(64, cut - i);
+      for (std::size_t l = 0; l < W; ++l) {
+        ecg[l] = recs[l].ecg_mv.data() + i;
+        z[l] = recs[l].z_ohm.data() + i;
+        scalar[l].push_into(dsp::SignalView(ecg[l], len), dsp::SignalView(z[l], len), sink);
+      }
+      batch.push(ecg.data(), z.data(), len, beats.data());
+      i += len;
+    }
 
-  SessionBatch<W> repacked(kFs, cfg);
-  repacked.pack(unpacked);
-  std::vector<std::vector<std::uint8_t>> round_trip;
-  repacked.unpack(round_trip);
-  EXPECT_EQ(round_trip, unpacked) << "W " << W;
+    batch.unpack(unpacked);
+    ASSERT_EQ(unpacked.size(), W);
+    for (std::size_t l = 0; l < W; ++l)
+      EXPECT_EQ(unpacked[l], scalar[l].checkpoint())
+          << "W " << W << " cut " << cut << " lane " << l;
+  }
 }
 
 TEST(SessionBatchTest, UnpackedBlobsMatchScalarCheckpoints) {
   expect_unpacked_blobs_match_scalar<4>();
   expect_unpacked_blobs_match_scalar<8>();
-}
-
-TEST(SessionBatchTest, PackRejectsMisalignedLanes) {
-  constexpr std::size_t W = 4;
-  const synth::Recording rec = make_recording(0, 10.0);
-  std::vector<std::vector<std::uint8_t>> blobs;
-  for (std::size_t l = 0; l < W; ++l) {
-    StreamingBeatPipeline engine(kFs);
-    // Lane 2 sits at a different stream position: packing it with the
-    // others would corrupt every lane, so pack() must refuse.
-    const std::size_t n = l == 2 ? 500 : 1000;
-    engine.push(dsp::SignalView(rec.ecg_mv.data(), n),
-                dsp::SignalView(rec.z_ohm.data(), n));
-    blobs.push_back(engine.checkpoint());
-  }
-  SessionBatch<W> batch(kFs);
-  EXPECT_THROW(batch.pack(blobs), CheckpointError);
 }
 
 TEST(SessionBatchTest, FactoryValidatesWidth) {

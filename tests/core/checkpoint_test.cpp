@@ -356,12 +356,6 @@ TEST(CheckpointPipelineTest, DoubleChainOfMigrationsStaysIdentical) {
   expect_summary_eq(ref_summary, engine->quality_summary(), "chained");
 }
 
-TEST(CheckpointPipelineTest, CaptureModeRefusesToCheckpoint) {
-  StreamingBeatPipeline p(kFs);
-  p.enable_capture();
-  EXPECT_THROW(p.checkpoint(), CheckpointError);
-}
-
 // ---------------------------------------------------------------------------
 // Rejection: corrupted, truncated and mismatched blobs fail cleanly
 // ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@
 //
 // This binary replaces the global operator new/delete with counting
 // versions that bump core::allocation_counter() (the library-side test
-// hook); AllocationProbe reads the delta around the measured region.
+// hook, see common/counting_allocator.h); AllocationProbe reads the
+// delta around the measured region.
+#include "common/counting_allocator.h"
 #include "core/alloc_probe.h"
 #include "core/batch.h"
 #include "core/fleet.h"
@@ -15,53 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstdlib>
-#include <new>
 #include <vector>
-
-// ---------------------------------------------------------------------------
-// Counting global allocator. Covers the plain, nothrow, and over-aligned
-// forms so nothing escapes the count.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-void* counted_alloc(std::size_t n) {
-  icgkit::core::allocation_counter().fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n ? n : 1);
-}
-
-void* counted_aligned_alloc(std::size_t n, std::size_t align) {
-  icgkit::core::allocation_counter().fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (posix_memalign(&p, align < sizeof(void*) ? sizeof(void*) : align, n ? n : align) != 0)
-    return nullptr;
-  return p;
-}
-
-} // namespace
-
-void* operator new(std::size_t n) {
-  if (void* p = counted_alloc(n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return counted_alloc(n); }
-void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return counted_alloc(n); }
-void* operator new(std::size_t n, std::align_val_t al) {
-  if (void* p = counted_aligned_alloc(n, static_cast<std::size_t>(al))) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -152,12 +108,6 @@ TEST(FleetAllocTest, WarmSessionBatchPushesAreAllocationFree) {
   constexpr std::size_t W = 4;
   const synth::Recording rec = make_recording(40.0);
   core::SessionBatch<W> batch(rec.fs);
-  {
-    std::vector<std::vector<std::uint8_t>> blobs;
-    for (std::size_t l = 0; l < W; ++l)
-      blobs.push_back(core::StreamingBeatPipeline(rec.fs).checkpoint());
-    batch.pack(blobs);
-  }
   std::array<std::vector<core::BeatRecord>, W> out;
   for (auto& o : out) o.reserve(256);
   std::array<const double*, W> ecg{}, z{};

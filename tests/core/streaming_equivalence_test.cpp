@@ -5,7 +5,6 @@
 // size, not merely close. Plus the window-edge regression: beats emitted
 // after their samples left the bounded look-back window must come out
 // flagged, never referencing trimmed indices.
-#include "core/legacy_recompute.h"
 #include "core/pipeline.h"
 
 #include "ecg/pan_tompkins.h"
@@ -146,35 +145,6 @@ TEST(StreamingEquivalenceTest, SmallWindowNeverReferencesTrimmedSamples) {
     ASSERT_EQ(replay.size(), beats.size());
     for (std::size_t i = 0; i < beats.size(); ++i)
       expect_identical(replay[i], beats[i], i, 7);
-  }
-}
-
-// Regression for the legacy windowed-recompute drain(): finish()-flushed
-// beats near the window edge used to rebase default-zero points of
-// invalid delineations into nonsense absolute indices.
-TEST(WindowedRecomputeTest, FlushedBeatsAreClampedToTheirBeat) {
-  const synth::Recording rec = make_recording(20.0);
-  WindowedRecomputePipeline legacy(kFs, {}, 6.0); // window << recording
-  std::vector<BeatRecord> beats;
-  const std::size_t chunk = 125;
-  for (std::size_t i = 0; i < rec.ecg_mv.size(); i += chunk) {
-    const std::size_t len = std::min(chunk, rec.ecg_mv.size() - i);
-    const auto got = legacy.push(dsp::SignalView(rec.ecg_mv.data() + i, len),
-                                 dsp::SignalView(rec.z_ohm.data() + i, len));
-    beats.insert(beats.end(), got.begin(), got.end());
-  }
-  const auto tail = legacy.finish();
-  beats.insert(beats.end(), tail.begin(), tail.end());
-
-  ASSERT_GT(beats.size(), 10u);
-  EXPECT_EQ(legacy.samples_consumed(), rec.ecg_mv.size());
-  for (const BeatRecord& b : beats) {
-    const auto span = static_cast<std::size_t>(b.rr_s * kFs + 1.5);
-    EXPECT_GE(b.points.b, b.points.r);
-    EXPECT_GE(b.points.c, b.points.r);
-    EXPECT_GE(b.points.x, b.points.r);
-    EXPECT_LE(b.points.x, b.points.r + span);
-    EXPECT_LT(b.points.x, rec.ecg_mv.size());
   }
 }
 
