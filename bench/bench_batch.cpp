@@ -29,7 +29,6 @@
 #include "core/pipeline.h"
 #include "core/stream.h"
 #include "dsp/backend.h"
-#include "dsp/denormal.h"
 #include "dsp/simd.h"
 #include "ecg/pan_tompkins.h"
 #include "report/table.h"
@@ -275,10 +274,6 @@ int main() {
   rcfg.duration_s = duration_s;
   rcfg.session_seed = 42;
   const std::vector<synth::Recording> workload = synth::make_fleet_workload(4, rcfg);
-
-  // Same FPU mode as the fleet's worker threads, so the scalar and
-  // batched legs are compared under identical denormal handling.
-  dsp::DenormalGuard denormal_guard;
 
   // Warm-up pass (untimed) so page faults and frequency ramp don't land
   // in whichever leg runs first.

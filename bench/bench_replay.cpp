@@ -17,9 +17,7 @@
 #include "core/flight_recorder.h"
 #include "core/pipeline.h"
 #include "report/table.h"
-#include "synth/recording.h"
 #include "synth/scenario.h"
-#include "synth/subject.h"
 
 #include <algorithm>
 #include <chrono>
@@ -38,18 +36,6 @@ constexpr double kDurationS = 30.0;
 // Dense cadence for the seek/verify files only, so a late seek restores
 // a real mid-stream checkpoint instead of replaying from sample zero.
 constexpr std::uint64_t kSeekInterval = 5000;
-
-synth::Recording severe_recording() {
-  synth::RecordingConfig cfg;
-  cfg.duration_s = kDurationS;
-  cfg.fs = kFs;
-  cfg.session_seed = 17;
-  const auto roster = synth::paper_roster();
-  const synth::SourceActivity src = generate_source(roster[1], cfg);
-  synth::Recording rec = measure_thoracic(roster[1], src, 50e3);
-  apply_scenario(rec, synth::ScenarioSpec::severe(), 17 ^ 0x5CE11A1105ULL);
-  return rec;
-}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -151,7 +137,8 @@ RecordCost bench_record_cost(const synth::Recording& rec) {
 int main() {
   report::banner(std::cout, "flight recorder: record overhead, replay + seek speed");
 
-  const synth::Recording rec = severe_recording();
+  const synth::Recording rec = synth::make_scenario_stream(
+      /*subject=*/1, /*tier=*/3, /*seed=*/17, kDurationS);
 
   const RecordCost dbl = bench_record_cost<core::StreamingBeatPipeline>(rec);
   const RecordCost q31 = bench_record_cost<core::FixedStreamingBeatPipeline>(rec);

@@ -69,8 +69,6 @@ class SessionBatchBase {
   virtual void finish(std::vector<BeatRecord>* out) = 0;
 
   [[nodiscard]] virtual const QualitySummary& lane_quality(std::size_t lane) const = 0;
-  /// Samples consumed per lane (identical across lanes, by lockstep).
-  [[nodiscard]] virtual std::size_t samples_consumed() const = 0;
 };
 
 /// The batch-backend engine behind the runtime-width interface: W
@@ -106,9 +104,6 @@ class SessionBatch final : public SessionBatchBase {
 
   [[nodiscard]] const QualitySummary& lane_quality(std::size_t lane) const override {
     return engine_.quality_summary(lane);
-  }
-  [[nodiscard]] std::size_t samples_consumed() const override {
-    return engine_.samples_consumed();
   }
 
  private:

@@ -1,6 +1,5 @@
 #include "core/fleet.h"
 
-#include "dsp/denormal.h"
 #include "dsp/simd.h"
 
 #include <chrono>
@@ -10,6 +9,9 @@
 namespace icgkit::core {
 
 namespace {
+
+/// Work items per worker queue.
+constexpr std::size_t kSubmitQueueCapacity = 1024;
 
 // Two-stage wait: stay on the cheap yield path while work is flowing,
 // back off to a short sleep once a queue stays blocked — so idle or
@@ -48,7 +50,7 @@ SessionManager::Session::Session(std::uint32_t id_, std::uint32_t worker_,
 }
 
 SessionManager::Worker::Worker(const FleetConfig& cfg)
-    : in(cfg.submit_queue_capacity), out(cfg.result_queue_capacity) {}
+    : in(kSubmitQueueCapacity), out(cfg.result_queue_capacity) {}
 
 SessionManager::SessionManager(dsp::SampleRate fs, const FleetConfig& cfg)
     : fs_(fs), cfg_(cfg) {
@@ -374,33 +376,6 @@ std::uint64_t SessionManager::do_session_processed(std::uint32_t session) const 
   return checked_session(session).chunks_done.load(std::memory_order_acquire);
 }
 
-bool SessionManager::do_poll_beat(std::uint32_t session, FleetBeat& out) {
-  Session& s = checked_session(session);
-  if (s.inbox_pos == s.inbox.size()) {
-    // Nothing parked for this session: drain the worker queues once and
-    // route everything to the producing sessions' inboxes. The vectors
-    // involved keep their capacity, so the steady state allocates only
-    // while an inbox grows to its high-water mark.
-    route_scratch_.clear();
-    poll(route_scratch_);
-    for (const FleetBeat& fb : route_scratch_) {
-      Session& t = checked_session(fb.session);
-      if (t.inbox_pos == t.inbox.size()) {
-        t.inbox.clear();
-        t.inbox_pos = 0;
-      }
-      t.inbox.push_back(fb);
-    }
-  }
-  if (s.inbox_pos == s.inbox.size()) return false;
-  out = s.inbox[s.inbox_pos++];
-  if (s.inbox_pos == s.inbox.size()) {
-    s.inbox.clear();
-    s.inbox_pos = 0;
-  }
-  return true;
-}
-
 void SessionManager::run_to_completion(std::vector<FleetBeat>& sink) {
   for (const auto& s : sessions_)
     if (!s->finished) do_finish(s->id, sink);
@@ -488,28 +463,6 @@ const std::vector<FleetWorkerStats>& SessionManager::worker_stats() const {
   return stats_cache_;
 }
 
-const QualitySummary& SessionManager::do_session_quality(std::uint32_t session) const {
-  if (session >= sessions_.size())
-    throw std::out_of_range("SessionManager: unknown session id");
-  const Session& s = *sessions_[session];
-  // While a session rides in a packed group its scalar engine is stale;
-  // the live aggregate lives in the batch engine's per-lane assembler.
-  if (s.group != nullptr && s.group->packed)
-    return s.group->batch->lane_quality(s.lane);
-  return s.engine.quality_summary();
-}
-
-QualitySummary SessionManager::fleet_quality() const {
-  QualitySummary total;
-  for (const auto& s : sessions_) {
-    if (s->group != nullptr && s->group->packed)
-      total.merge(s->group->batch->lane_quality(s->lane));
-    else
-      total.merge(s->engine.quality_summary());
-  }
-  return total;
-}
-
 std::uint64_t SessionManager::total_samples() const {
   std::uint64_t n = 0;
   for (const auto& w : workers_) n += w->samples.load(std::memory_order_relaxed);
@@ -529,11 +482,6 @@ std::uint64_t SessionManager::total_beats() const {
 // ---------------------------------------------------------------------------
 
 void SessionManager::worker_loop(Worker& w) {
-  // Flush-to-zero/denormals-are-zero for the whole worker thread: IIR
-  // filter tails otherwise decay into subnormal territory between beats
-  // and pay the microcode assist on every multiply. RAII — restored on
-  // exit, a no-op on targets without the control bits.
-  dsp::DenormalGuard denormal_guard;
   WorkItem item;
   Backoff idle_backoff;
   for (;;) {

@@ -11,12 +11,13 @@
 // count, which is the determinism contract the fleet tests pin down.
 //
 // Session-facing API: `open()` returns a `SessionHandle`, an RAII
-// façade whose verb set matches the C ABI
-// (open/push/poll_beat/finish/quality). Placement is load-aware —
-// open() homes the session on `least_loaded_worker()` (for sequential
-// opens on a fresh fleet that is the static `id % workers` order, which
-// is why the determinism fixtures never moved). A session's raw id only
-// labels its FleetBeats.
+// façade over one session's input side (push/finish, plus migration and
+// flight recording). Output is fleet-wide: SessionManager::poll() drains
+// every session's completed beats, each FleetBeat tagged with the id of
+// the session that produced it. Placement is load-aware — open() homes
+// the session on `least_loaded_worker()` (for sequential opens on a
+// fresh fleet that is the static `id % workers` order, which is why the
+// determinism fixtures never moved).
 //
 // Threading model (strict, by construction):
 //   - ONE pilot thread calls open / push / finish / poll / close. All
@@ -80,8 +81,6 @@ struct FleetConfig {
   std::size_t max_chunk = 256;
   /// In-flight chunks per session (slab slots).
   std::size_t chunk_slots_per_session = 4;
-  /// Work items per worker queue.
-  std::size_t submit_queue_capacity = 1024;
   /// Completed beats per worker queue.
   std::size_t result_queue_capacity = 8192;
   /// Per-session look-back window, as in StreamingBeatPipeline.
@@ -185,9 +184,9 @@ class SessionManager {
 
   /// Moves up to max_items completed beats into `out` (appended, not
   /// cleared). Pilot thread only. Returns the number moved. This is the
-  /// fan-in drain every blocking verb spins on; per-session delivery is
-  /// SessionHandle::poll_beat() (the two may be mixed — each beat is
-  /// delivered exactly once, through whichever path claims it first).
+  /// one delivery path: every session's beats and end_of_session records
+  /// fan in here, in per-session order, and every blocking verb spins on
+  /// it while it waits.
   std::size_t poll(std::vector<FleetBeat>& out,
                    std::size_t max_items = static_cast<std::size_t>(-1));
 
@@ -212,10 +211,6 @@ class SessionManager {
 
   /// Per-worker counters; stable after join().
   [[nodiscard]] const std::vector<FleetWorkerStats>& worker_stats() const;
-
-  /// Sum of every session's QualitySummary (same caveat as
-  /// SessionHandle::quality(): meaningful after join() or at idle()).
-  [[nodiscard]] QualitySummary fleet_quality() const;
 
   /// Running totals, safe to read from any thread while workers run
   /// (relaxed atomic counters — a live dashboard surface).
@@ -273,11 +268,6 @@ class SessionManager {
     FlightRecorderConfig recorder_cfg;  ///< pilot-written before RecordStart
     std::atomic<bool> record_ack{false};
     bool is_recording = false;  ///< pilot side
-    /// Per-session delivery buffer for SessionHandle::poll_beat():
-    /// beats drained from the worker queues are routed here when the
-    /// pilot polls by session instead of by fleet. Pilot side only.
-    std::vector<FleetBeat> inbox;
-    std::size_t inbox_pos = 0;
     /// Batch mode: the lockstep group this session rides in, or nullptr
     /// when it runs its own scalar engine. Set by start(), cleared by the
     /// owning worker when the group dissolves (while the session is
@@ -342,10 +332,8 @@ class SessionManager {
                                                   std::vector<FleetBeat>& drained);
   [[nodiscard]] bool do_recording(std::uint32_t session) const;
   [[nodiscard]] std::uint32_t do_session_worker(std::uint32_t session) const;
-  [[nodiscard]] const QualitySummary& do_session_quality(std::uint32_t session) const;
   [[nodiscard]] bool do_session_finished(std::uint32_t session) const;
   [[nodiscard]] std::uint64_t do_session_processed(std::uint32_t session) const;
-  bool do_poll_beat(std::uint32_t session, FleetBeat& out);
 
   [[nodiscard]] Worker& worker_of(const Session& s) { return *workers_[s.worker]; }
   Session& checked_session(std::uint32_t session);
@@ -371,8 +359,6 @@ class SessionManager {
   /// of the live queues to preserve per-session order.
   std::vector<FleetBeat> overflow_;
   std::size_t overflow_pos_ = 0;
-  /// Scratch for poll_beat()'s route-to-inbox drain (capacity reused).
-  std::vector<FleetBeat> route_scratch_;
   mutable std::vector<FleetWorkerStats> stats_cache_;
   std::uint64_t migrations_ = 0;  ///< pilot side
   bool started_ = false;
@@ -380,9 +366,9 @@ class SessionManager {
   bool joined_ = false;
 };
 
-/// RAII façade over one fleet session — the session API, with the verb
-/// set the C ABI committed to: open (via
-/// SessionManager::open()), push, poll_beat, finish, quality. A handle
+/// RAII façade over one fleet session's input side: open (via
+/// SessionManager::open()), push, finish, migrate_to and flight
+/// recording. Beats come back through SessionManager::poll(). A handle
 /// is movable, not copyable; the pilot-thread-only discipline of
 /// SessionManager applies to every verb. Destroying a handle whose
 /// session is still streaming finishes it (tail beats are discarded),
@@ -434,7 +420,7 @@ class SessionHandle {
 
   /// Copies one synchronized chunk into the session's slab and hands it
   /// to the owning worker. Returns false when backpressured (no free
-  /// slot or full work queue) — drain with poll_beat()/poll() and
+  /// slot or full work queue) — drain with SessionManager::poll() and
   /// retry. Chunks are processed strictly in submission order.
   bool try_push(dsp::SignalView ecg_mv, dsp::SignalView z_ohm) {
     return mgr_->do_try_submit(id_, ecg_mv, z_ohm);
@@ -446,14 +432,6 @@ class SessionHandle {
     mgr_->do_submit(id_, ecg_mv, z_ohm, sink);
   }
 
-  /// Per-session delivery: moves this session's next completed beat (or
-  /// its end_of_session terminal record) into `out`. Returns false when
-  /// none is ready yet. Beats of *other* sessions drained while looking
-  /// are parked in their sessions' inboxes, not lost — poll_beat and
-  /// the fleet-level SessionManager::poll() deliver each beat exactly
-  /// once, through whichever is called first.
-  bool poll_beat(FleetBeat& out) { return mgr_->do_poll_beat(id_, out); }
-
   /// Enqueues the end-of-stream flush (emits tail beats, then the
   /// end_of_session QualitySummary record). No further pushes are
   /// accepted. Returns false when backpressured.
@@ -461,16 +439,6 @@ class SessionHandle {
 
   /// Blocking finish (drains into `sink` while waiting).
   void finish(std::vector<FleetBeat>& sink) { mgr_->do_finish(id_, sink); }
-
-  /// The session's running QualitySummary, read from its engine (or its
-  /// batch lane). The state lives on the owning worker, so call this
-  /// only when that worker is quiescent: after join() (in batch mode,
-  /// only after join() or after the session finished). The
-  /// authoritative end-of-stream snapshot is the end_of_session
-  /// FleetBeat the finish emits.
-  [[nodiscard]] const QualitySummary& quality() const {
-    return mgr_->do_session_quality(id_);
-  }
 
   /// Moves the live session to another worker (see the migration notes
   /// on SessionManager): blocking control-plane call, byte-identical
@@ -521,8 +489,8 @@ class SessionHandle {
     if (mgr_->started() && !mgr_->closed() && !mgr_->do_session_finished(id_)) {
       std::vector<FleetBeat> drained;
       mgr_->do_finish(id_, drained);
-      // Route what we drained so SessionManager::poll()/poll_beat()
-      // callers still see it.
+      // Park what we drained so SessionManager::poll() still delivers
+      // it.
       for (const FleetBeat& fb : drained) mgr_->overflow_.push_back(fb);
     }
     mgr_ = nullptr;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <utility>
 
 namespace icgkit::core {
@@ -136,7 +138,12 @@ void FlightRecorder::record_checkpoint(std::uint64_t samples) {
   w.end_section();
   flush_scratch(std::move(w));
   ++checkpoints_;
-  next_checkpoint_at_ = samples + cfg_.checkpoint_interval;
+  // Saturating: a recording started mid-session with a huge interval
+  // must not wrap round to a position the engine has already passed.
+  constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+  next_checkpoint_at_ = cfg_.checkpoint_interval > kNever - samples
+                            ? kNever
+                            : samples + cfg_.checkpoint_interval;
 }
 
 void FlightRecorder::record_end(std::span<const BeatRecord> tail,
@@ -264,220 +271,128 @@ bool FlightReader::next(Event& ev) {
 }
 
 // ---------------------------------------------------------------------------
-// Replay
+// Replay: flight_verify, flight_seek and flight_state_at are one pass over
+// the recording (restore, re-run every chunk and byte-compare its beats,
+// then the recorded end) that differ only in where it starts and stops.
 
 namespace {
 
+struct ReplayPlan {
+  /// Index, among all CKPT sections, of the checkpoint the pass restores;
+  /// the chunks before it are skipped. -1 replays the whole recording
+  /// from its first checkpoint, or from a fresh engine when a chunk comes
+  /// first, which only a recording that starts at sample 0 allows.
+  std::int64_t restore_index = -1;
+  bool compare_checkpoints = false;  ///< byte-compare every later CKPT
+  /// Stop at the first chunk boundary at or past this position; the
+  /// recording's end (finish()) is then never replayed.
+  std::optional<std::uint64_t> stop_at;
+};
+
+/// What one pass saw, in flight_verify's terms, and where it started.
+struct ReplayPass {
+  FlightVerifyReport report;
+  std::uint64_t restored_at = 0;
+};
+
 template <typename B>
-BasicStreamingBeatPipeline<B> make_replay_engine(const FlightHeader& h) {
+ReplayPass replay_pass(FlightReader& rd, const ReplayPlan& plan,
+                       std::vector<std::uint8_t>* state_out) {
+  const FlightHeader& h = rd.header();
   PipelineConfig cfg;
   cfg.enable_ensemble = h.ensemble;
   BasicStreamingBeatPipeline<B> engine(h.fs, cfg, h.window_s);
   if (engine.window_samples() != h.window_samples)
     ICGKIT_THROW(CheckpointError("flight record: replay window mismatch"));
-  return engine;
-}
 
-/// A fresh replay engine stands in for a missing initial checkpoint only
-/// when the recording legitimately starts at sample 0.
-inline void restore_or_refuse(const FlightHeader& h, bool restored) {
-  if (restored) return;
-  if (h.start_samples != 0)
-    ICGKIT_THROW(CheckpointError(
-        "flight record: mid-session recording lacks its initial checkpoint"));
-}
-
-template <typename B>
-FlightVerifyReport verify_impl(std::span<const std::uint8_t> file,
-                               bool check_checkpoints) {
-  FlightReader rd(file);
-  auto engine = make_replay_engine<B>(rd.header());
-
-  FlightVerifyReport rep;
+  ReplayPass pass;
+  FlightVerifyReport& rep = pass.report;
   FlightReader::Event ev;
   std::vector<BeatRecord> beats;
   std::vector<unsigned char> replay_bytes;
   std::vector<std::uint8_t> state_scratch;
+  std::int64_t ckpt_index = -1;
   bool restored = false;
-  std::int64_t ckpt_ordinal = -1;  // initial checkpoint is ordinal -1
+  const auto replayed_beats_match = [&] {
+    serialize_beats(beats, replay_bytes);
+    rep.beats_replayed += beats.size();
+    return std::ranges::equal(replay_bytes, ev.beat_bytes);
+  };
 
   while (rd.next(ev)) {
-    switch (ev.kind) {
-      case FlightReader::EventKind::Checkpoint: {
-        if (!restored) {
-          engine.restore(ev.state);
-          restored = true;
-        } else if (check_checkpoints) {
-          engine.checkpoint_into(state_scratch);
-          const bool same = state_scratch.size() == ev.state.size() &&
-                            std::equal(state_scratch.begin(), state_scratch.end(),
-                                       ev.state.begin());
-          if (!same && rep.first_divergent_checkpoint < 0)
-            rep.first_divergent_checkpoint = ckpt_ordinal;
-        }
-        ++ckpt_ordinal;
-        break;
-      }
-      case FlightReader::EventKind::Chunk: {
-        restore_or_refuse(rd.header(), restored);
+    if (ev.kind == FlightReader::EventKind::Checkpoint) {
+      ++ckpt_index;
+      if (!restored && (plan.restore_index < 0 || ckpt_index == plan.restore_index)) {
+        engine.restore(ev.state);
+        pass.restored_at = ev.samples;
         restored = true;
+      } else if (restored && plan.compare_checkpoints) {
+        engine.checkpoint_into(state_scratch);
+        // Reported among the periodic checkpoints: index 0 is the initial one.
+        if (!std::ranges::equal(state_scratch, ev.state) && rep.first_divergent_checkpoint < 0)
+          rep.first_divergent_checkpoint = ckpt_index - 1;
+      }
+      continue;
+    }
+    if (!restored) {
+      if (plan.restore_index >= 0) continue;
+      if (h.start_samples != 0)
+        ICGKIT_THROW(CheckpointError(
+            "flight record: mid-session recording lacks its initial checkpoint"));
+      restored = true;
+    }
+    if (ev.kind == FlightReader::EventKind::Chunk) {
+      if (plan.stop_at && engine.samples_consumed() >= *plan.stop_at) break;
+      beats.clear();
+      engine.push_into(dsp::SignalView(ev.ecg), dsp::SignalView(ev.z), beats);
+      rep.beats_recorded += ev.beat_bytes.size() / beat_record_bytes();
+      if (!replayed_beats_match() && rep.first_divergent_chunk < 0)
+        rep.first_divergent_chunk = static_cast<std::int64_t>(ev.chunk_index);
+      ++rep.chunks;
+    } else if (!plan.stop_at) {
+      rep.has_end = true;
+      rep.finished = ev.finished;
+      rep.beats_recorded += ev.beat_bytes.size() / beat_record_bytes();
+      if (ev.finished) {
         beats.clear();
-        engine.push_into(dsp::SignalView(ev.ecg), dsp::SignalView(ev.z), beats);
-        serialize_beats(beats, replay_bytes);
-        rep.beats_replayed += beats.size();
-        rep.beats_recorded += ev.beat_bytes.size() / beat_record_bytes();
-        const bool same = replay_bytes.size() == ev.beat_bytes.size() &&
-                          std::equal(replay_bytes.begin(), replay_bytes.end(),
-                                     ev.beat_bytes.begin());
-        if (!same && rep.first_divergent_chunk < 0)
-          rep.first_divergent_chunk = static_cast<std::int64_t>(ev.chunk_index);
-        ++rep.chunks;
-        break;
+        engine.finish_into(beats);
+        rep.tail_match = replayed_beats_match();
       }
-      case FlightReader::EventKind::End: {
-        restore_or_refuse(rd.header(), restored);
-        restored = true;
-        rep.has_end = true;
-        rep.finished = ev.finished;
-        rep.beats_recorded += ev.beat_bytes.size() / beat_record_bytes();
-        if (ev.finished) {
-          beats.clear();
-          engine.finish_into(beats);
-          serialize_beats(beats, replay_bytes);
-          rep.beats_replayed += beats.size();
-          rep.tail_match = replay_bytes.size() == ev.beat_bytes.size() &&
-                           std::equal(replay_bytes.begin(), replay_bytes.end(),
-                                      ev.beat_bytes.begin());
-        }
-        rep.summary_match =
-            summaries_identical(engine.quality_summary(), ev.summary) &&
-            ev.samples == engine.samples_consumed();
-        break;
-      }
+      rep.summary_match = summaries_identical(engine.quality_summary(), ev.summary) &&
+                          ev.samples == engine.samples_consumed();
     }
   }
   rep.samples = engine.samples_consumed();
   rep.ok = rep.first_divergent_chunk < 0 && rep.first_divergent_checkpoint < 0 &&
            rep.summary_match && rep.tail_match;
-  return rep;
+  if (state_out != nullptr) engine.checkpoint_into(*state_out);
+  return pass;
 }
 
-/// Scans the file once and returns the ordinal (among all CKPT sections)
-/// of the latest checkpoint positioned at or before `target`.
+ReplayPass replay(std::span<const std::uint8_t> file, const ReplayPlan& plan,
+                  std::vector<std::uint8_t>* state_out = nullptr) {
+  FlightReader rd(file);
+  return rd.header().backend_fixed ? replay_pass<dsp::Q31Backend>(rd, plan, state_out)
+                                   : replay_pass<dsp::DoubleBackend>(rd, plan, state_out);
+}
+
+/// Scans the file once and returns the index (among all CKPT sections)
+/// of the latest checkpoint positioned at or before `target`; `what`
+/// names the target in the refusal when there is none.
 std::int64_t latest_checkpoint_before(std::span<const std::uint8_t> file,
-                                      std::uint64_t target) {
+                                      std::uint64_t target, const char* what) {
   FlightReader rd(file);
   FlightReader::Event ev;
-  std::int64_t ordinal = -1, best = -1;
+  std::int64_t index = -1, best = -1;
   while (rd.next(ev)) {
     if (ev.kind != FlightReader::EventKind::Checkpoint) continue;
-    ++ordinal;
-    if (ev.samples <= target) best = ordinal;
+    ++index;
+    if (ev.samples <= target) best = index;
   }
+  if (best < 0)
+    ICGKIT_THROW(CheckpointError(std::string("flight record: no checkpoint at or before the ") +
+                                 what + " target"));
   return best;
-}
-
-template <typename B>
-FlightSeekReport seek_impl(std::span<const std::uint8_t> file,
-                           std::uint64_t target) {
-  FlightSeekReport rep;
-  rep.target_sample = target;
-  const std::int64_t best = latest_checkpoint_before(file, target);
-  if (best < 0)
-    ICGKIT_THROW(CheckpointError(
-        "flight record: no checkpoint at or before the seek target"));
-
-  FlightReader rd(file);
-  auto engine = make_replay_engine<B>(rd.header());
-  FlightReader::Event ev;
-  std::vector<BeatRecord> beats;
-  std::vector<unsigned char> replay_bytes;
-  std::int64_t ordinal = -1;
-  bool restored = false;
-
-  while (rd.next(ev)) {
-    switch (ev.kind) {
-      case FlightReader::EventKind::Checkpoint:
-        if (++ordinal == best) {
-          engine.restore(ev.state);
-          rep.restored_at = ev.samples;
-          restored = true;
-        }
-        break;
-      case FlightReader::EventKind::Chunk: {
-        if (!restored) break;  // prefix the checkpoint already covers
-        beats.clear();
-        engine.push_into(dsp::SignalView(ev.ecg), dsp::SignalView(ev.z), beats);
-        serialize_beats(beats, replay_bytes);
-        rep.suffix_beats += beats.size();
-        const bool same = replay_bytes.size() == ev.beat_bytes.size() &&
-                          std::equal(replay_bytes.begin(), replay_bytes.end(),
-                                     ev.beat_bytes.begin());
-        if (!same && rep.first_divergent_chunk < 0)
-          rep.first_divergent_chunk = static_cast<std::int64_t>(ev.chunk_index);
-        ++rep.suffix_chunks;
-        break;
-      }
-      case FlightReader::EventKind::End: {
-        if (!restored) break;
-        if (ev.finished) {
-          beats.clear();
-          engine.finish_into(beats);
-          serialize_beats(beats, replay_bytes);
-          rep.suffix_beats += beats.size();
-          rep.tail_match = replay_bytes.size() == ev.beat_bytes.size() &&
-                           std::equal(replay_bytes.begin(), replay_bytes.end(),
-                                      ev.beat_bytes.begin());
-        }
-        rep.summary_match =
-            summaries_identical(engine.quality_summary(), ev.summary) &&
-            ev.samples == engine.samples_consumed();
-        break;
-      }
-    }
-  }
-  if (!restored)
-    ICGKIT_THROW(CheckpointError("flight record: seek checkpoint vanished"));
-  rep.ok = rep.first_divergent_chunk < 0 && rep.summary_match && rep.tail_match;
-  return rep;
-}
-
-template <typename B>
-FlightStateReport state_at_impl(std::span<const std::uint8_t> file,
-                                std::uint64_t target,
-                                std::vector<std::uint8_t>& state_out) {
-  const std::int64_t best = latest_checkpoint_before(file, target);
-  if (best < 0)
-    ICGKIT_THROW(CheckpointError(
-        "flight record: no checkpoint at or before the dump target"));
-
-  FlightReader rd(file);
-  auto engine = make_replay_engine<B>(rd.header());
-  FlightReader::Event ev;
-  std::vector<BeatRecord> beats;
-  FlightStateReport rep;
-  std::int64_t ordinal = -1;
-  bool restored = false;
-
-  while (rd.next(ev)) {
-    if (ev.kind == FlightReader::EventKind::Checkpoint) {
-      if (++ordinal == best) {
-        engine.restore(ev.state);
-        restored = true;
-      }
-      continue;
-    }
-    if (ev.kind != FlightReader::EventKind::Chunk || !restored) continue;
-    if (engine.samples_consumed() >= target) break;
-    beats.clear();
-    engine.push_into(dsp::SignalView(ev.ecg), dsp::SignalView(ev.z), beats);
-    rep.beats += beats.size();
-  }
-  if (!restored)
-    ICGKIT_THROW(CheckpointError("flight record: dump checkpoint vanished"));
-  rep.samples = engine.samples_consumed();
-  engine.checkpoint_into(state_out);
-  return rep;
 }
 
 /// Pulls the next Chunk/End event, stashing any Checkpoint events passed
@@ -499,27 +414,35 @@ bool next_output_event(FlightReader& rd, FlightReader::Event& ev,
 
 FlightVerifyReport flight_verify(std::span<const std::uint8_t> file,
                                  bool check_checkpoints) {
-  FlightReader probe(file);
-  return probe.header().backend_fixed
-             ? verify_impl<dsp::Q31Backend>(file, check_checkpoints)
-             : verify_impl<dsp::DoubleBackend>(file, check_checkpoints);
+  ReplayPlan plan;
+  plan.compare_checkpoints = check_checkpoints;
+  return replay(file, plan).report;
 }
 
 FlightSeekReport flight_seek(std::span<const std::uint8_t> file,
                              std::uint64_t target_sample) {
-  FlightReader probe(file);
-  return probe.header().backend_fixed
-             ? seek_impl<dsp::Q31Backend>(file, target_sample)
-             : seek_impl<dsp::DoubleBackend>(file, target_sample);
+  ReplayPlan plan;
+  plan.restore_index = latest_checkpoint_before(file, target_sample, "seek");
+  const ReplayPass pass = replay(file, plan);
+  const FlightVerifyReport& r = pass.report;
+  return {.ok = r.ok,
+          .target_sample = target_sample,
+          .restored_at = pass.restored_at,
+          .suffix_chunks = r.chunks,
+          .suffix_beats = r.beats_replayed,
+          .first_divergent_chunk = r.first_divergent_chunk,
+          .summary_match = r.summary_match,
+          .tail_match = r.tail_match};
 }
 
 FlightStateReport flight_state_at(std::span<const std::uint8_t> file,
                                   std::uint64_t target_sample,
                                   std::vector<std::uint8_t>& state_out) {
-  FlightReader probe(file);
-  return probe.header().backend_fixed
-             ? state_at_impl<dsp::Q31Backend>(file, target_sample, state_out)
-             : state_at_impl<dsp::DoubleBackend>(file, target_sample, state_out);
+  ReplayPlan plan;
+  plan.restore_index = latest_checkpoint_before(file, target_sample, "dump");
+  plan.stop_at = target_sample;
+  const ReplayPass pass = replay(file, plan, &state_out);
+  return {.samples = pass.report.samples, .beats = pass.report.beats_replayed};
 }
 
 FlightCompareReport flight_compare(std::span<const std::uint8_t> a,

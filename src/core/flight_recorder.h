@@ -275,11 +275,8 @@ class FlightReader {
   /// Parses the next section into `ev` (reusing its buffers). Returns
   /// false at a clean end of file; a file may legally end without FINI
   /// (recording cut by a crash — the libretro-style "power loss" case),
-  /// in which case ended() stays false.
+  /// in which case no End event is ever yielded.
   bool next(Event& ev);
-
-  /// True once a FINI section has been consumed.
-  [[nodiscard]] bool ended() const { return saw_end_; }
 
  private:
   StateReader r_;
@@ -336,10 +333,11 @@ struct FlightSeekReport {
                                            std::uint64_t target_sample);
 
 /// Reconstructs the full kernel state at the first chunk boundary at or
-/// past `target_sample`: seeks to the nearest earlier checkpoint,
-/// re-runs the gap, and serializes the reconstructed engine into
-/// `state_out` (a standard pipeline checkpoint blob). Returns the exact
-/// position reached and the beats emitted while getting there.
+/// past `target_sample` (after the last chunk when the target lies
+/// beyond it; finish() is never replayed): seeks to the nearest earlier
+/// checkpoint, re-runs the gap, and serializes the reconstructed engine
+/// into `state_out` (a standard pipeline checkpoint blob). Returns the
+/// exact position reached and the beats emitted while getting there.
 struct FlightStateReport {
   std::uint64_t samples = 0;
   std::uint64_t beats = 0;

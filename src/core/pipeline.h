@@ -51,6 +51,7 @@
 #include "ecg/ecg_filter.h"
 #include "ecg/pan_tompkins.h"
 #include "dsp/backend.h"
+#include "dsp/denormal.h"
 #include "dsp/ring_buffer.h"
 #include "dsp/stats.h"
 #include "dsp/types.h"
@@ -779,6 +780,7 @@ class BasicStreamingBeatPipeline {
   /// End of stream for every lane; lane l's tail beats are appended to
   /// out[l].
   void finish_lanes(std::vector<BeatRecord>* out) {
+    const dsp::DenormalGuard denormal_guard;
     icg_scratch_.clear();
     icg_stage_.finish(icg_scratch_);
     ecg_scratch_.clear();
@@ -1025,6 +1027,9 @@ void BasicStreamingBeatPipeline<B>::push_lanes(const double* const* ecg_mv,
                                                const double* const* z_ohm, std::size_t n,
                                                std::vector<BeatRecord>* out) {
   if (n == 0) return;
+  // One floating-point mode whichever thread drives the engine (see
+  // dsp/denormal.h): the fleet's workers, the C ABI and replay agree.
+  const dsp::DenormalGuard denormal_guard;
 
   // Phase 1: fused fronts over the whole chunk. The double backend
   // reads the caller's samples in place; the others stage them once.

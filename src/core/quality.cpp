@@ -1,8 +1,5 @@
 #include "core/quality.h"
 
-#include <algorithm>
-#include <cstdio>
-
 namespace icgkit::core {
 
 BeatFlaw assess_beat(const BeatDelineation& beat, double rr_s, dsp::SampleRate fs,
@@ -63,32 +60,6 @@ void QualitySummary::tally(BeatFlaw flaws, const SignalQuality& q, bool snr_meas
   }
   for (std::size_t bit = 0; bit < kBeatFlawCount; ++bit)
     if (has_flaw(flaws, static_cast<BeatFlaw>(std::uint32_t{1} << bit))) ++flaw_counts[bit];
-}
-
-void QualitySummary::merge(const QualitySummary& other) {
-  if (other.snr_beats > 0 && (snr_beats == 0 || other.min_snr_db < min_snr_db))
-    min_snr_db = other.min_snr_db;
-  beats += other.beats;
-  snr_beats += other.snr_beats;
-  usable += other.usable;
-  for (std::size_t i = 0; i < kBeatFlawCount; ++i) flaw_counts[i] += other.flaw_counts[i];
-  ecg_dropouts += other.ecg_dropouts;
-  z_dropouts += other.z_dropouts;
-  detector_resets += other.detector_resets;
-  ensemble_folds_skipped += other.ensemble_folds_skipped;
-  sum_snr_db += other.sum_snr_db;
-}
-
-std::string describe_summary(const QualitySummary& s) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "%llu beats, %.0f%% usable, mean SNR %.1f dB, gaps ecg/z %llu/%llu, "
-                "resets %llu",
-                static_cast<unsigned long long>(s.beats), 100.0 * s.usable_fraction(),
-                s.mean_snr_db(), static_cast<unsigned long long>(s.ecg_dropouts),
-                static_cast<unsigned long long>(s.z_dropouts),
-                static_cast<unsigned long long>(s.detector_resets));
-  return buf;
 }
 
 } // namespace icgkit::core

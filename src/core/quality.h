@@ -126,8 +126,6 @@ struct QualitySummary {
   /// `snr_measured = false` for beats whose window was unavailable so
   /// they do not drag the SNR statistics to zero.
   void tally(BeatFlaw flaws, const SignalQuality& q, bool snr_measured = true);
-  /// Merges another summary (e.g. aggregating a whole fleet).
-  void merge(const QualitySummary& other);
 
   /// Writes every field in declaration order: the one layout of the
   /// QSUM checkpoint section, the flight recorder's FINI summary and the
@@ -168,8 +166,5 @@ struct QualitySummary {
     return snr_beats > 0 ? sum_snr_db / static_cast<double>(snr_beats) : 0.0;
   }
 };
-
-/// One-line human-readable rendering of a QualitySummary.
-std::string describe_summary(const QualitySummary& s);
 
 } // namespace icgkit::core

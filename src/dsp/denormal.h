@@ -1,19 +1,21 @@
-// Denormal (subnormal) hygiene for the double hot path.
+// Denormal (subnormal) hygiene: the streaming engine's one floating-point
+// mode.
 //
-// IIR tails decaying toward zero eventually produce subnormal doubles,
-// which many x86 cores handle via microcode assists costing 50-100x a
-// normal multiply -- enough to wreck the lockstep timing the SIMD batch
-// backend depends on (one slow lane stalls all W). The streaming
-// pipeline's accuracy budget is nowhere near 1e-308, so the standard
-// real-time-audio remedy applies: set the FPU to flush-to-zero (FTZ) and
-// denormals-are-zero (DAZ) for the processing thread.
+// Whether a subnormal double is kept or flushed changes the arithmetic:
+// an engine that flushes and one that does not compute different filter
+// state from the same subnormal input, so a session would replay
+// differently depending on which thread ran it. Keeping them is also
+// slow: many x86 cores take a microcode assist costing 50-100x a normal
+// multiply. The engine's accuracy budget is nowhere near 1e-308, so it
+// runs flush-to-zero (FTZ) and denormals-are-zero (DAZ):
+// BasicStreamingBeatPipeline holds a DenormalGuard for the length of
+// every push and finish. A fleet worker, the C ABI, a directly driven
+// pipeline and flight-record replay therefore all compute the same bytes.
 //
-// DenormalGuard is an RAII scope: engage on a worker thread's entry,
-// restore the previous FPU mode on exit. The mode is per-thread; the
-// fleet engages it in every worker loop and the benches in their timing
-// loops, so identity comparisons always run both sides under the same
-// mode. On targets without an FTZ control this is a no-op (supported()
-// reports it, and the denormal test skips itself).
+// DenormalGuard is an RAII scope: it sets the mode on construction and
+// restores the caller's on destruction, so guards nest and the calling
+// thread keeps its own mode. On targets without an FTZ control this is
+// a no-op (supported() reports it, and the denormal test skips itself).
 #pragma once
 
 #if defined(__SSE2__) || defined(_M_X64) || defined(_M_AMD64)

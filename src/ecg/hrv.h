@@ -30,7 +30,7 @@ struct HrvSpectrum {
 
 struct HrvConfig {
   double resample_hz = 4.0;
-  double min_rr_s = 0.3;  ///< artifact gate, as in heart_rate_stats
+  double min_rr_s = 0.3;  ///< artifact gate: RR outside [min, max] is dropped
   double max_rr_s = 2.0;
 };
 

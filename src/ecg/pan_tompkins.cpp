@@ -1,11 +1,8 @@
 #include "ecg/pan_tompkins.h"
 
 #include "dsp/butterworth.h"
-#include "dsp/derivative.h"
 #include "dsp/filtfilt.h"
-#include "dsp/moving.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "support/contract.h"
@@ -37,17 +34,6 @@ PanTompkins::PanTompkins(dsp::SampleRate fs, const PanTompkinsConfig& cfg)
   if (fs <= 0.0) ICGKIT_THROW(std::invalid_argument("PanTompkins: fs must be positive"));
   if (cfg.bandpass_low_hz >= cfg.bandpass_high_hz)
     ICGKIT_THROW(std::invalid_argument("PanTompkins: band-pass edges inverted"));
-}
-
-dsp::Signal PanTompkins::feature_signal(dsp::SignalView ecg) const {
-  const dsp::SosFilter bp =
-      dsp::butterworth_bandpass(2, cfg_.bandpass_low_hz, cfg_.bandpass_high_hz, fs_);
-  dsp::Signal y = dsp::filtfilt_sos(bp, ecg);
-  y = dsp::five_point_derivative(y, fs_);
-  for (auto& v : y) v *= v;
-  const std::size_t win =
-      std::max<std::size_t>(1, static_cast<std::size_t>(cfg_.integration_window_s * fs_));
-  return dsp::moving_window_integrate(y, win);
 }
 
 QrsDetection PanTompkins::detect(dsp::SignalView ecg) const {

@@ -153,9 +153,6 @@ class QrsDecisionTail {
     // must keep holding across the reset.
   }
 
-  [[nodiscard]] std::size_t samples_consumed() const { return in_count_; }
-  [[nodiscard]] std::size_t peaks_emitted() const { return peaks_emitted_; }
-
   /// Serializes the carried decision state. The byte sequence is exactly
   /// the tail segment of the pre-split BasicOnlinePanTompkins layout, so
   /// checkpoints remain wire-compatible.
@@ -422,7 +419,7 @@ class QrsDecisionTail {
   std::vector<double> rr_history_;        ///< trimmed to the last 8
   std::vector<std::size_t> rejected_since_;
   std::optional<std::size_t> last_r_;
-  std::size_t peaks_emitted_ = 0;
+  std::size_t peaks_emitted_ = 0;  ///< only checkpointed: part of the v1 QRSD layout
 };
 
 /// Online (sample-by-sample) Pan-Tompkins detector, generic over the
@@ -552,12 +549,6 @@ class BasicOnlinePanTompkins {
 
   void finish(std::vector<std::size_t>& out) requires(kLanes == 1) { finish(&out); }
 
-  /// Samples consumed per lane (identical across lanes, by lockstep).
-  [[nodiscard]] std::size_t samples_consumed() const { return tails_[0].samples_consumed(); }
-  [[nodiscard]] std::size_t peaks_emitted(std::size_t lane = 0) const {
-    return tails_[lane].peaks_emitted();
-  }
-
   /// Serializes the full carried detector state — feature chain (band
   /// pass, derivative history, MWI), then the decision tail — for
   /// core::Checkpoint round trips. The byte layout is identical to the
@@ -655,10 +646,6 @@ class PanTompkins {
   /// the whole segment through an OnlinePanTompkins and collects the
   /// confirmed peaks, so batch and streaming detection cannot drift.
   [[nodiscard]] QrsDetection detect(dsp::SignalView ecg) const;
-
-  /// The integrated feature signal (exposed for tests/benches; batch
-  /// reference implementation with the zero-phase filtfilt band-pass).
-  [[nodiscard]] dsp::Signal feature_signal(dsp::SignalView ecg) const;
 
  private:
   dsp::SampleRate fs_;

@@ -274,6 +274,22 @@ std::vector<Recording> make_corrupted_workload(std::size_t count,
   return workload;
 }
 
+Recording make_scenario_stream(std::uint64_t subject, int tier, std::uint64_t seed,
+                               double duration_s) {
+  RecordingConfig cfg;
+  cfg.duration_s = duration_s;
+  cfg.session_seed = seed;
+  const std::vector<SubjectProfile> roster = paper_roster();
+  const SubjectProfile& who = roster[subject % roster.size()];
+  Recording rec = measure_thoracic(who, generate_source(who, cfg), 50e3);
+  const ScenarioSpec spec = tier == 1   ? ScenarioSpec::mild()
+                            : tier == 2 ? ScenarioSpec::moderate()
+                            : tier == 3 ? ScenarioSpec::severe()
+                                        : ScenarioSpec::clean();
+  apply_scenario(rec, spec, seed ^ 0x5CE11A1105ULL);
+  return rec;
+}
+
 // ---------------------------------------------------------------------------
 // Severity presets. Amplitudes are in the thoracic recording's units
 // (ECG mV, impedance Ohm); the tiers are what bench_scenarios sweeps and

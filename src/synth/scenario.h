@@ -164,4 +164,15 @@ std::vector<Recording> make_corrupted_workload(std::size_t count,
                                                std::uint64_t scenario_seed,
                                                std::vector<ScenarioReport>* reports = nullptr);
 
+/// The one scenario stream tools/replay --record, the checkpoint
+/// round-trip fuzzer and bench_replay all synthesize: roster subject
+/// `subject` (modulo the roster size) for `duration_s` at 250 Hz under
+/// recording seed `seed`, measured through the thoracic electrodes at
+/// 50 kHz, then corrupted at severity `tier` (0 clean, 1 mild,
+/// 2 moderate, 3 severe; any other value is clean) under scenario seed
+/// `seed ^ 0x5CE11A1105`. Deterministic in its arguments, so a flight
+/// record's provenance (seed, tier, subject) regenerates its input.
+Recording make_scenario_stream(std::uint64_t subject, int tier, std::uint64_t seed,
+                               double duration_s);
+
 } // namespace icgkit::synth

@@ -724,6 +724,42 @@ TEST(CApiFlightRecordTest, FinishFinalizedMemRecordingStaysRetrievable) {
   EXPECT_TRUE(rep.finished);
 }
 
+TEST(CApiFlightRecordTest, LargestIntervalMidSessionWritesNoPeriodicCheckpoint) {
+  // The cadence is the start position plus the interval: with the
+  // largest interval, started after 2,500 samples, that sum must
+  // saturate rather than wrap to a position already passed.
+  const auto rec = test_recording(60.0);
+  const icg_config cfg = test_config(ICG_BACKEND_DOUBLE);
+  icg_session* s = icg_session_create(&cfg);
+  ASSERT_NE(s, nullptr);
+  constexpr std::uint32_t kSmall = 50;
+  icg_beat beat;
+  const std::size_t total = rec.ecg_mv.size();
+  for (std::size_t off = 0; off < total; off += kSmall) {
+    if (off == 2500) {
+      ASSERT_EQ(icg_session_record_start_mem(s, UINT64_MAX), ICG_OK) << icg_last_error();
+    }
+    ASSERT_GE(icg_session_push(s, rec.ecg_mv.data() + off, rec.z_ohm.data() + off, kSmall),
+              0);
+    while (icg_session_poll_beat(s, &beat) == 1) {
+    }
+  }
+  uint32_t written = 0;
+  ASSERT_EQ(icg_session_record_stop_mem(s, nullptr, 0, &written),
+            ICG_ERR_BUFFER_TOO_SMALL);
+  std::vector<std::uint8_t> file(written);
+  ASSERT_EQ(icg_session_record_stop_mem(s, file.data(),
+                                        static_cast<uint32_t>(file.size()), &written),
+            ICG_OK);
+  EXPECT_EQ(icg_session_destroy(s), ICG_OK);
+  uint64_t chunks = 0, checkpoints = 99;
+  ASSERT_EQ(icg_flight_probe(file.data(), written, nullptr, nullptr, &chunks,
+                             &checkpoints, nullptr, nullptr),
+            ICG_OK);
+  EXPECT_EQ(chunks, (total - 2500) / kSmall);
+  EXPECT_EQ(checkpoints, 0u);
+}
+
 TEST(CApiFlightRecordTest, StopMemMisuseIsRejected) {
   const icg_config cfg = test_config(ICG_BACKEND_DOUBLE);
   icg_session* s = icg_session_create(&cfg);

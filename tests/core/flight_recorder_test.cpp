@@ -14,11 +14,12 @@
 //    and re-running only the suffix reproduces the recording exactly
 //    (flight_seek) — checkpoint-resume equals straight-through.
 //  - Recording can begin mid-stream (the initial checkpoint makes the
-//    file self-contained) and can stop mid-stream (FINI finished=0).
+//    file self-contained; cut out, the file is refused) and can stop
+//    mid-stream (FINI finished=0).
 //  - Fleet integration: start_recording/stop_recording tap a live
 //    SessionManager session without perturbing any session's output,
-//    and the recorder rides the session across a mid-recording
-//    migrate().
+//    the recorder rides the session across a mid-recording migrate(),
+//    and subnormal input replays byte-identically.
 //  - Hostility: every flipped byte and every truncation of a flight
 //    record is refused with CheckpointError or surfaces as a clean
 //    frame-boundary end (the legal power-loss shape) — never UB.
@@ -29,12 +30,13 @@
 #include "core/pipeline.h"
 #include "synth/recording.h"
 #include "synth/scenario.h"
-#include "synth/subject.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -62,16 +64,7 @@ constexpr double kFs = 250.0;
 /// A severe-tier recording — the hardest stream the recorder must
 /// reproduce (gaps, saturation, motion bursts).
 synth::Recording severe_recording(std::uint64_t seed = 7, double duration_s = 20.0) {
-  synth::RecordingConfig cfg;
-  cfg.duration_s = duration_s;
-  cfg.fs = kFs;
-  cfg.session_seed = seed;
-  const auto roster = synth::paper_roster();
-  const synth::SubjectProfile& subject = roster[seed % roster.size()];
-  const synth::SourceActivity src = generate_source(subject, cfg);
-  synth::Recording rec = measure_thoracic(subject, src, 50e3);
-  apply_scenario(rec, synth::ScenarioSpec::severe(), seed ^ 0x5CE11A1105ULL);
-  return rec;
+  return synth::make_scenario_stream(/*subject=*/seed, /*tier=*/3, seed, duration_s);
 }
 
 /// Runs `rec` through a fresh pipeline with a FlightRecorder attached,
@@ -240,14 +233,36 @@ TEST(FlightStateTest, ReconstructedStateRestoresIntoAFreshPipeline) {
   EXPECT_EQ(p.samples_consumed(), rep.samples);
 }
 
+TEST(FlightStateTest, TargetPastTheEndStopsBeforeFinish) {
+  // A target past the last chunk reconstructs the engine after every
+  // recorded chunk: the recording's finish() is never replayed.
+  const synth::Recording rec = severe_recording(5);
+  const std::vector<std::uint8_t> file =
+      record_run<StreamingBeatPipeline>(rec, 64, /*interval=*/1000);
+  const std::size_t n = rec.ecg_mv.size();
+  std::vector<std::uint8_t> state;
+  const core::FlightStateReport rep = core::flight_state_at(file, n + 1000, state);
+
+  StreamingBeatPipeline fed(rec.fs);
+  std::vector<BeatRecord> beats;
+  for (std::size_t i = 0; i < n; i += 64) {
+    const std::size_t len = std::min<std::size_t>(64, n - i);
+    fed.push_into(dsp::SignalView(rec.ecg_mv.data() + i, len),
+                  dsp::SignalView(rec.z_ohm.data() + i, len), beats);
+  }
+  EXPECT_EQ(rep.samples, n);
+  EXPECT_EQ(state, fed.checkpoint());
+}
+
 // ---------------------------------------------------------------------------
 // Mid-stream start and mid-stream stop
 // ---------------------------------------------------------------------------
 
-TEST(FlightRecorderLifecycleTest, MidStreamStartIsSelfContained) {
-  const synth::Recording rec = severe_recording(9);
+/// Records the second half of `rec` from an engine that was already fed
+/// the first half, through to finish().
+std::vector<std::uint8_t> mid_session_recording(const synth::Recording& rec,
+                                                std::size_t attach_at) {
   const std::size_t n = rec.ecg_mv.size();
-  const std::size_t attach_at = n / 2;
   FixedStreamingBeatPipeline p(rec.fs);
   std::vector<BeatRecord> emitted;
   for (std::size_t i = 0; i < attach_at; i += 64) {
@@ -270,13 +285,43 @@ TEST(FlightRecorderLifecycleTest, MidStreamStartIsSelfContained) {
   emitted.clear();
   p.finish_into(emitted);
   recorder.on_finish(p, emitted);
-  const std::vector<std::uint8_t> file = sink.take();
+  return sink.take();
+}
+
+TEST(FlightRecorderLifecycleTest, MidStreamStartIsSelfContained) {
+  const synth::Recording rec = severe_recording(9);
+  const std::size_t attach_at = rec.ecg_mv.size() / 2;
+  const std::vector<std::uint8_t> file = mid_session_recording(rec, attach_at);
   const core::FlightProbe probe = core::probe_flight(file);
   ASSERT_TRUE(probe.valid);
   EXPECT_EQ(probe.header.start_samples, attach_at);
   const FlightVerifyReport rep = core::flight_verify(file);
   EXPECT_TRUE(rep.ok) << "first divergent chunk " << rep.first_divergent_chunk;
   EXPECT_TRUE(rep.finished);
+}
+
+TEST(FlightRecorderLifecycleTest, MidStreamRecordingWithoutItsInitialCheckpointIsRefused) {
+  const synth::Recording rec = severe_recording(9);
+  const std::vector<std::uint8_t> file =
+      mid_session_recording(rec, rec.ecg_mv.size() / 2);
+  // Cut the initial CKPT section out. Past the 8-byte container header,
+  // every section is framed as tag, u32 payload length, payload, CRC-32;
+  // RHDR comes first and the initial CKPT right after it.
+  const auto section_end = [&file](std::size_t at) {
+    std::uint32_t len = 0;
+    std::memcpy(&len, file.data() + at + 4, sizeof len);
+    return at + 12 + len;
+  };
+  const std::size_t ckpt_at = section_end(8);
+  ASSERT_EQ(std::memcmp(file.data() + ckpt_at, "CKPT", 4), 0);
+  std::vector<std::uint8_t> cut(file.begin(),
+                                file.begin() + static_cast<std::ptrdiff_t>(ckpt_at));
+  cut.insert(cut.end(), file.begin() + static_cast<std::ptrdiff_t>(section_end(ckpt_at)),
+             file.end());
+  // Frame by frame the file is intact; only a fresh engine could stand
+  // in for the missing state, and a mid-session start rules that out.
+  ASSERT_TRUE(core::probe_flight(cut).valid);
+  EXPECT_THROW((void)core::flight_verify(cut), CheckpointError);
 }
 
 TEST(FlightRecorderLifecycleTest, MidStreamStopVerifiesWithoutTail) {
@@ -430,6 +475,29 @@ TEST(FleetRecordingTest, StopRecordingLeavesAVerifiableFileAndSessionRuns) {
   EXPECT_TRUE(rep.ok);
   EXPECT_TRUE(rep.has_end);
   EXPECT_FALSE(rep.finished);  // stopped mid-stream, not finished
+}
+
+TEST(FleetRecordingTest, SubnormalInputReplaysByteIdentical) {
+  synth::RecordingConfig cfg;
+  cfg.duration_s = 60.0;
+  cfg.session_seed = 37;
+  std::vector<synth::Recording> workload = synth::make_fleet_workload(1, cfg);
+  // 1,000 subnormal samples per channel: the fleet's workers and a
+  // replaying engine must treat them in one floating-point mode, or the
+  // filter state they leave behind differs between the two.
+  synth::Recording& rec = workload[0];
+  for (std::size_t i = 0; i < 1000; ++i) {
+    const double tiny =
+        std::numeric_limits<double>::min() / (2.0 + static_cast<double>(i % 8));
+    rec.ecg_mv[6000 + i] = tiny;
+    rec.z_ohm[6000 + i] = -tiny;
+  }
+  std::vector<std::uint8_t> file;
+  (void)run_fleet(workload, 1, 1, &file, false);
+  const FlightVerifyReport rep = core::flight_verify(file);
+  EXPECT_TRUE(rep.ok) << "first divergent chunk " << rep.first_divergent_chunk
+                      << ", checkpoint " << rep.first_divergent_checkpoint;
+  EXPECT_TRUE(rep.finished);
 }
 
 // ---------------------------------------------------------------------------

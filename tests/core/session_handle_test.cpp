@@ -1,18 +1,15 @@
 // SessionHandle façade semantics.
 //
 // SessionHandle is the session-facing API: move-only RAII over a fleet
-// id, verbs mirroring the C ABI, destructor-finish so a dropped handle
-// cannot leak un-flushed engine state. These tests pin down the
+// id, destructor-finish so a dropped handle cannot leak un-flushed
+// engine state. These tests pin down the
 // handle-specific contracts the fleet determinism suite does not touch
-// — move/release lifetime, per-session poll_beat routing, explicit
-// open_on() placement, and processed() counting chunks only (control
-// ops, refused ones included, must not inflate the network server's
-// CACK stream).
+// — move/release lifetime, explicit open_on() placement, and
+// processed() counting chunks only (control ops, refused ones included,
+// must not inflate the network server's CACK stream).
 #include "core/fleet.h"
 
-#include "core/beat_serializer.h"
 #include "core/flight_recorder.h"
-#include "core/pipeline.h"
 #include "synth/recording.h"
 
 #include <gtest/gtest.h>
@@ -32,7 +29,6 @@ using core::FleetBeat;
 using core::FleetConfig;
 using core::SessionHandle;
 using core::SessionManager;
-using core::serialize_beat;
 
 constexpr std::size_t kChunk = 64;
 
@@ -41,25 +37,6 @@ std::vector<synth::Recording> test_workload(std::size_t distinct, double duratio
   cfg.duration_s = duration_s;
   cfg.session_seed = 11;
   return synth::make_fleet_workload(distinct, cfg);
-}
-
-// Serialized beat stream of a directly-fed StreamingBeatPipeline — the
-// reference every fleet-delivered stream must match byte for byte.
-// Same chunk schedule as the fleet feeds below: full chunks only (the
-// look-back window flushes at finish, so even a partial tail chunk
-// would shift every beat's delineation context).
-std::vector<unsigned char> direct_stream(const synth::Recording& rec) {
-  core::StreamingBeatPipeline direct(rec.fs, {});
-  std::vector<core::BeatRecord> beats;
-  const std::size_t n = rec.ecg_mv.size();
-  for (std::size_t i = 0; i + kChunk <= n; i += kChunk) {
-    direct.push_into(dsp::SignalView(rec.ecg_mv.data() + i, kChunk),
-                     dsp::SignalView(rec.z_ohm.data() + i, kChunk), beats);
-  }
-  direct.finish_into(beats);
-  std::vector<unsigned char> bytes;
-  for (const core::BeatRecord& b : beats) serialize_beat(b, bytes);
-  return bytes;
 }
 
 TEST(SessionHandleTest, MoveAndReleaseSemantics) {
@@ -138,72 +115,6 @@ TEST(SessionHandleTest, DroppedHandleFinishesItsSession) {
     if (fb.end_of_session && fb.session == keeper.id()) ++keeper_summaries;
   }
   EXPECT_EQ(keeper_summaries, 1u);
-}
-
-TEST(SessionHandleTest, PollBeatRoutesPerSession) {
-  const auto workload = test_workload(2, 6.0);
-
-  FleetConfig cfg;
-  cfg.workers = 2;
-  cfg.max_chunk = kChunk;
-  SessionManager fleet(workload[0].fs, cfg);
-  std::vector<SessionHandle> handles;
-  for (std::size_t s = 0; s < 2; ++s) handles.push_back(fleet.open());
-  fleet.start();
-
-  // Every beat travels the per-session poll_beat path only, so each
-  // session's stream is rebuilt in exactly the order its inbox serves
-  // it — the routing contract under test. Interleaving the two feeds
-  // forces the inboxes to park the other session's beats.
-  std::vector<std::vector<unsigned char>> streams(2);
-  std::vector<bool> summary(2, false);
-  const auto drain = [&](std::size_t s) {
-    FleetBeat fb;
-    while (handles[s].poll_beat(fb)) {
-      ASSERT_EQ(fb.session, handles[s].id());
-      if (fb.end_of_session) {
-        summary[s] = true;
-      } else {
-        serialize_beat(fb.beat, streams[s]);
-      }
-    }
-  };
-
-  const std::size_t n = workload[0].ecg_mv.size();
-  for (std::size_t i = 0; i + kChunk <= n; i += kChunk) {
-    for (std::size_t s = 0; s < 2; ++s) {
-      const synth::Recording& rec = workload[s];
-      const dsp::SignalView ecg(rec.ecg_mv.data() + i, kChunk);
-      const dsp::SignalView z(rec.z_ohm.data() + i, kChunk);
-      while (!handles[s].try_push(ecg, z)) {
-        drain(0);
-        drain(1);
-      }
-      drain(s);
-    }
-  }
-  for (std::size_t s = 0; s < 2; ++s) {
-    while (!handles[s].try_finish()) {
-      drain(0);
-      drain(1);
-    }
-  }
-  fleet.close();
-  fleet.join();
-  for (std::size_t s = 0; s < 2; ++s) {
-    drain(s);
-    EXPECT_TRUE(summary[s]) << "session " << s << " never delivered its summary";
-    EXPECT_TRUE(handles[s].finished());
-    const std::vector<unsigned char> ref = direct_stream(workload[s]);
-    std::size_t mism = 0;
-    while (mism < std::min(ref.size(), streams[s].size()) &&
-           streams[s][mism] == ref[mism])
-      ++mism;
-    EXPECT_EQ(streams[s], ref)
-        << "session " << s << " diverged from direct feed: sizes "
-        << streams[s].size() << " vs " << ref.size() << ", first mismatch at "
-        << mism;
-  }
 }
 
 TEST(SessionHandleTest, OpenOnPlacesExplicitlyAndOpenBalances) {

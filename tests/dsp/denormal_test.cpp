@@ -1,14 +1,14 @@
-// DenormalGuard: flush-to-zero hygiene for decaying tails.
+// DenormalGuard: the flush-to-zero scope the streaming engine holds
+// around every push and finish (see dsp/denormal.h).
 //
-// After an impulse, an IIR filter's state decays geometrically and —
-// without FTZ/DAZ — eventually lingers in subnormal territory, where
-// many cores take a microcode assist per multiply. The guard trades that
-// tail (worthless at this application's accuracy budget) for flat
-// per-sample cost. The test drives the impulse response of the paper's
-// 20 Hz ICG Butterworth (the cascade the ICG low-pass kernel is designed
-// from) deep past the normal range and asserts it never goes subnormal
-// while the guard is engaged, and that the guard restores the previous
-// FPU mode on scope exit.
+// A decaying IIR impulse response is a reliable source of subnormals:
+// after an impulse its state shrinks geometrically and, without FTZ/DAZ,
+// passes through subnormal territory. The test drives the impulse
+// response of the paper's 20 Hz ICG Butterworth (the cascade the ICG
+// low-pass kernel is designed from) deep past the normal range and
+// asserts it never goes subnormal while the guard is engaged, that the
+// guard restores the previous FPU mode on scope exit, and that guards
+// nest.
 #include "dsp/denormal.h"
 
 #include "dsp/biquad.h"

@@ -1,7 +1,6 @@
 #include "ecg/pan_tompkins.h"
 
 #include "ecg/ecg_filter.h"
-#include "ecg/heart_rate.h"
 #include "synth/artifacts.h"
 #include "synth/ecg_synth.h"
 #include "synth/rr_process.h"
@@ -190,46 +189,6 @@ TEST_P(PanTompkinsNoiseSweep, SensitivityDegradesGracefully) {
 
 INSTANTIATE_TEST_SUITE_P(NoiseLevels, PanTompkinsNoiseSweep,
                          ::testing::Values(0.0, 0.02, 0.05, 0.10, 0.15));
-
-TEST(HeartRateTest, StatsOnCleanSeries) {
-  const std::vector<double> rr(20, 0.8);
-  const HeartRateStats s = heart_rate_stats(rr);
-  EXPECT_NEAR(s.mean_bpm, 75.0, 1e-9);
-  EXPECT_NEAR(s.median_bpm, 75.0, 1e-9);
-  EXPECT_NEAR(s.sdnn_ms, 0.0, 1e-9);
-  EXPECT_EQ(s.beat_count, 20u);
-}
-
-TEST(HeartRateTest, FiltersArtifacts) {
-  std::vector<double> rr(10, 0.8);
-  rr.push_back(5.0);   // dropout
-  rr.push_back(0.05);  // double detection
-  const HeartRateStats s = heart_rate_stats(rr);
-  EXPECT_EQ(s.beat_count, 10u);
-  EXPECT_NEAR(s.mean_bpm, 75.0, 1e-9);
-}
-
-TEST(HeartRateTest, EmptyInputSafe) {
-  const HeartRateStats s = heart_rate_stats({});
-  EXPECT_EQ(s.beat_count, 0u);
-  EXPECT_DOUBLE_EQ(s.mean_bpm, 0.0);
-}
-
-TEST(HeartRateTest, RmssdReflectsAlternans) {
-  std::vector<double> rr;
-  for (int i = 0; i < 20; ++i) rr.push_back(i % 2 == 0 ? 0.78 : 0.82);
-  const HeartRateStats s = heart_rate_stats(rr);
-  EXPECT_NEAR(s.rmssd_ms, 40.0, 2.0);
-}
-
-TEST(HeartRateTest, InstantaneousSeries) {
-  const std::vector<double> rr{0.8, 0.75, 5.0, 0.85};
-  const auto hr = instantaneous_hr(rr);
-  ASSERT_EQ(hr.size(), 3u);
-  EXPECT_NEAR(hr[0], 75.0, 1e-9);
-  EXPECT_NEAR(hr[1], 80.0, 1e-9);
-  EXPECT_NEAR(hr[2], 60.0 / 0.85, 1e-9);
-}
 
 } // namespace
 } // namespace icgkit::ecg

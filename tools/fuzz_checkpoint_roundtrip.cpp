@@ -29,10 +29,8 @@
 #include "core/beat_serializer.h"
 #include "core/flight_recorder.h"
 #include "core/pipeline.h"
-#include "synth/recording.h"
 #include "synth/rng.h"
 #include "synth/scenario.h"
-#include "synth/subject.h"
 
 #include <cstdint>
 #include <filesystem>
@@ -53,28 +51,6 @@ struct RoundSpec {
   bool q31 = false;             ///< numeric backend
   std::size_t subject = 0;      ///< roster index
 };
-
-synth::ScenarioSpec tier_spec(int tier) {
-  switch (tier) {
-    case 1: return synth::ScenarioSpec::mild();
-    case 2: return synth::ScenarioSpec::moderate();
-    case 3: return synth::ScenarioSpec::severe();
-    default: return synth::ScenarioSpec::clean();
-  }
-}
-
-synth::Recording make_stream(const RoundSpec& spec) {
-  const auto roster = synth::paper_roster();
-  synth::RecordingConfig cfg;
-  cfg.duration_s = 20.0;
-  cfg.fs = 250.0;
-  cfg.session_seed = spec.seed;
-  const auto& subject = roster[spec.subject % roster.size()];
-  const synth::SourceActivity src = generate_source(subject, cfg);
-  synth::Recording rec = measure_thoracic(subject, src, 50e3);
-  apply_scenario(rec, tier_spec(spec.tier), spec.seed ^ 0x5CE11A1105ULL);
-  return rec;
-}
 
 template <typename Pipeline>
 void feed(Pipeline& p, const synth::Recording& rec, std::size_t from, std::size_t to,
@@ -197,7 +173,8 @@ int main(int argc, char** argv) {
     spec.subject = static_cast<std::size_t>(rng.next_u64() % 5);
     spec.chunk = chunks[rng.next_u64() % 4];
     spec.q31 = (rng.next_u64() & 1) != 0;
-    const synth::Recording rec = make_stream(spec);
+    const synth::Recording rec =
+        synth::make_scenario_stream(spec.subject, spec.tier, spec.seed, 20.0);
     // Any offset except the degenerate empty/full stream.
     spec.cut = 1 + static_cast<std::size_t>(rng.next_u64() % (rec.ecg_mv.size() - 1));
 

@@ -5,11 +5,11 @@
 //   ./replay --record OUT.icgr [--seed N] [--tier T] [--backend B]
 //            [--duration S] [--subject N] [--chunk N] [--interval SAMPLES]
 //            [--ensemble] [--stop-at SAMPLES] [--min-beats N] [--note STR]
-//       Synthesizes one scenario session (same generator as the fuzzer)
-//       and flight-records it. --stop-at cuts the recording mid-stream
-//       (an unfinished file, the crash/power-loss shape). --min-beats
-//       fails the run when the session emitted fewer beats (CI uses it
-//       to pin the 1000-beat determinism session).
+//       Synthesizes one scenario session (synth::make_scenario_stream,
+//       the fuzzer's generator) and flight-records it. --stop-at cuts
+//       the recording mid-stream (an unfinished file, the crash/power-loss
+//       shape). --min-beats fails the run when the session emitted fewer
+//       beats (CI uses it to pin the 1000-beat determinism session).
 //
 //   ./replay --verify FILE [--no-checkpoints]
 //       Re-runs the recording end-to-end through a fresh engine and
@@ -38,10 +38,7 @@
 // Exit codes: 0 success/identical, 1 divergence or failed expectation,
 // 2 usage error, 3 structurally bad file (clean CheckpointError refusal).
 #include "core/flight_recorder.h"
-#include "synth/recording.h"
-#include "synth/rng.h"
 #include "synth/scenario.h"
-#include "synth/subject.h"
 
 #include <cstdint>
 #include <fstream>
@@ -61,15 +58,6 @@ std::vector<std::uint8_t> read_file(const std::string& path) {
     std::exit(3);
   }
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
-}
-
-synth::ScenarioSpec tier_spec(int tier) {
-  switch (tier) {
-    case 1: return synth::ScenarioSpec::mild();
-    case 2: return synth::ScenarioSpec::moderate();
-    case 3: return synth::ScenarioSpec::severe();
-    default: return synth::ScenarioSpec::clean();
-  }
 }
 
 const char* tier_name(int tier) {
@@ -96,19 +84,6 @@ struct RecordSpec {
   std::uint64_t min_beats = 0;
   std::string note;
 };
-
-synth::Recording make_stream(const RecordSpec& spec) {
-  const auto roster = synth::paper_roster();
-  synth::RecordingConfig cfg;
-  cfg.duration_s = spec.duration_s;
-  cfg.fs = 250.0;
-  cfg.session_seed = spec.seed;
-  const auto& subject = roster[spec.subject % roster.size()];
-  const synth::SourceActivity src = generate_source(subject, cfg);
-  synth::Recording rec = measure_thoracic(subject, src, 50e3);
-  apply_scenario(rec, tier_spec(spec.tier), spec.seed ^ 0x5CE11A1105ULL);
-  return rec;
-}
 
 template <typename Pipeline>
 int record_with(const RecordSpec& spec, const synth::Recording& rec) {
@@ -165,7 +140,8 @@ int record_with(const RecordSpec& spec, const synth::Recording& rec) {
 }
 
 int cmd_record(const RecordSpec& spec) {
-  const synth::Recording rec = make_stream(spec);
+  const synth::Recording rec =
+      synth::make_scenario_stream(spec.subject, spec.tier, spec.seed, spec.duration_s);
   return spec.q31 ? record_with<core::FixedStreamingBeatPipeline>(spec, rec)
                   : record_with<core::StreamingBeatPipeline>(spec, rec);
 }
