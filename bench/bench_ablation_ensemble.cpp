@@ -5,12 +5,13 @@
 // the speedup an FPU-less MCU would take (Q31 vs double).
 #include "core/delineator.h"
 #include "core/ensemble.h"
-#include "core/icg_filter.h"
 #include "core/stream.h"
 #include "dsp/backend.h"
 #include "dsp/filtfilt.h"
 #include "dsp/stats.h"
+#include "dsp/zero_phase_highpass.h"
 #include "report/table.h"
+#include "repro_common.h"
 #include "synth/artifacts.h"
 #include "synth/icg_synth.h"
 
@@ -31,6 +32,7 @@ int main() {
   report::Table table({"noise RMS", "single B", "single X", "ensemble B", "ensemble X",
                        "single invalid (%)"});
 
+  const dsp::FirCoefficients lowpass = core::icg_conditioner_lowpass_kernel(kFs, {});
   bool ensemble_wins_at_high_noise = false;
   for (const double sigma : {0.0, 0.1, 0.2, 0.35, 0.5}) {
     synth::Rng rng(900 + static_cast<std::uint64_t>(sigma * 100));
@@ -44,8 +46,10 @@ int main() {
     auto syn = synth::synthesize_icg(r_times, 0.6 + 0.85 * 40 + 1.0, kFs, cfg, rng);
     const dsp::Signal noise = synth::white_noise(syn.icg.size(), sigma, rng);
     for (std::size_t i = 0; i < noise.size(); ++i) syn.icg[i] += noise[i];
-    const core::IcgFilter filter(kFs);
-    const dsp::Signal icg = filter.apply(syn.icg);
+    // The engine's ICG filters after its derivative.
+    const dsp::Signal icg = bench::filtered(
+        dsp::StreamingZeroPhaseHighpass(kFs),
+        bench::filtered(dsp::StreamingZeroPhaseFir(lowpass), syn.icg));
 
     const core::IcgDelineator delineator(kFs);
     core::EnsembleAverager averager(kFs, {.window_beats = 12, .min_template_corr = 0.3});

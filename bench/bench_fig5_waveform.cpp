@@ -3,32 +3,15 @@
 // delineator's detections against the synthesis ground truth. Prints an
 // ASCII rendering plus a CSV dump for plotting.
 #include "core/delineator.h"
-#include "core/icg_filter.h"
 #include "core/pipeline.h"
 #include "core/stream.h"
 #include "report/table.h"
 #include "repro_common.h"
 
 #include <cmath>
-#include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
-
-namespace {
-
-// One stage of the pipeline's front over the whole recording: the
-// filtered trace the delineator reads, index-aligned with the input.
-template <typename Stage>
-icgkit::dsp::Signal filtered(Stage stage, icgkit::dsp::SignalView x) {
-  icgkit::dsp::Signal out;
-  std::vector<std::uint32_t> cum;
-  stage.process_chunk(x, out, cum);
-  stage.finish(out);
-  return out;
-}
-
-} // namespace
 
 int main() {
   using namespace icgkit;
@@ -38,8 +21,8 @@ int main() {
 
   const core::BeatPipeline pipeline(bench::kFs);
   const core::PipelineResult res = pipeline.process(rec.ecg_mv, rec.z_ohm);
-  const dsp::Signal ecg = filtered(core::EcgCleanerStage(bench::kFs), rec.ecg_mv);
-  const dsp::Signal icg = filtered(core::IcgConditionerStage(bench::kFs), rec.z_ohm);
+  const dsp::Signal ecg = bench::filtered(core::EcgCleanerStage(bench::kFs), rec.ecg_mv);
+  const dsp::Signal icg = bench::filtered(core::IcgConditionerStage(bench::kFs), rec.z_ohm);
 
   // Pick a mid-recording usable beat.
   const core::BeatRecord* beat = nullptr;

@@ -9,6 +9,7 @@
 #include "synth/recording.h"
 #include "synth/subject.h"
 
+#include <cstdint>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -22,6 +23,23 @@ struct StudySession {
   synth::SubjectProfile subject;
   synth::SourceActivity source;
 };
+
+/// One streaming stage or kernel over a whole recording, fed the way the
+/// engine feeds it (one chunk, then finish()): the filtered trace,
+/// index-aligned with the input. Pipeline stages take the chunk with
+/// their per-sample output counts; bare kernels take samples.
+template <typename Stage>
+dsp::Signal filtered(Stage stage, dsp::SignalView x) {
+  dsp::Signal out;
+  if constexpr (requires(std::vector<std::uint32_t>& cum) { stage.process_chunk(x, out, cum); }) {
+    std::vector<std::uint32_t> cum;
+    stage.process_chunk(x, out, cum);
+  } else {
+    for (const double v : x) stage.push(v, out);
+  }
+  stage.finish(out);
+  return out;
+}
 
 /// One 30 s session per roster subject (deterministic).
 inline std::vector<StudySession> study_sessions() {

@@ -12,10 +12,11 @@
  *    also makes the target a link check: any symbol the embedded
  *    archive fails to provide breaks this build.
  *
- * Flow (identical for both builds): create a session, stream fixed-size
- * chunks, poll beats as they surface, finish, read the quality summary,
- * then round-trip a checkpoint into a second session.  Every call's
- * status is checked — the ABI never aborts on bad input, it reports.
+ * Flow (identical for both builds): check that an unsupported sample
+ * rate is refused, create a session, stream fixed-size chunks, poll
+ * beats as they surface, finish, read the quality summary, then
+ * round-trip a checkpoint into a second session.  Every call's status
+ * is checked — the ABI never aborts on bad input, it reports.
  */
 
 #include "capi/icgkit.h"
@@ -109,6 +110,16 @@ static int run_backend(uint32_t backend, const char* name) {
   memset(&last, 0, sizeof last);
   if (icg_config_init(&cfg) != ICG_OK) return -1;
   cfg.backend = backend;
+
+  /* A rate outside [125, 1000] Hz must be refused with
+   * ICG_ERR_BAD_CONFIG before any filter is designed: in the embedded
+   * build, whose core has no exceptions, a design fault aborts. */
+  cfg.sample_rate_hz = 50.0;
+  if (icg_session_create(&cfg) != NULL ||
+      strstr(icg_last_error(), "ICG_ERR_BAD_CONFIG") == NULL) {
+    fprintf(stderr, "[%s] 50 Hz config not refused: %s\n", name, icg_last_error());
+    return -1;
+  }
   cfg.sample_rate_hz = SAMPLE_RATE_HZ;
 
   session = icg_session_create(&cfg);

@@ -342,8 +342,8 @@ int validate_config(const icg_config& cfg) {
                      "icg_config.abi_version does not match ICG_ABI_VERSION");
   if (cfg.backend != ICG_BACKEND_DOUBLE && cfg.backend != ICG_BACKEND_Q31)
     return set_error(ICG_ERR_BAD_CONFIG, "unknown backend");
-  if (!(cfg.sample_rate_hz > 0.0) || cfg.sample_rate_hz > 100000.0)
-    return set_error(ICG_ERR_BAD_CONFIG, "sample_rate_hz out of range");
+  if (!icgkit::core::sample_rate_supported(cfg.sample_rate_hz))
+    return set_error(ICG_ERR_BAD_CONFIG, "sample_rate_hz out of range [125, 1000]");
   if (!(cfg.window_s >= 4.0) || cfg.window_s > 120.0)
     return set_error(ICG_ERR_BAD_CONFIG, "window_s out of range [4, 120]");
   if (cfg.enable_ensemble > 1)

@@ -77,8 +77,9 @@ typedef enum icg_status {
   ICG_ERR_BAD_HANDLE = -2,
   /* icg_config.abi_version does not equal ICG_ABI_VERSION. */
   ICG_ERR_ABI_MISMATCH = -3,
-  /* A config field is out of range (backend unknown, sample rate not
-   * positive, zero max_chunk, nonzero reserved field, ...). */
+  /* A config field is out of range (backend unknown, sample rate
+   * outside [125, 1000] Hz, zero max_chunk, nonzero reserved field,
+   * ...). */
   ICG_ERR_BAD_CONFIG = -4,
   /* The operation is illegal in the session's current state (push
    * after finish, finish twice, ...). */
@@ -123,7 +124,9 @@ typedef enum icg_backend {
  * (which fills the defaults and stamps abi_version), then override
  * fields. Layout: doubles first, then 32-bit fields, no padding. */
 typedef struct icg_config {
-  double sample_rate_hz;        /* synchronized ECG+Z sample rate */
+  double sample_rate_hz;        /* synchronized ECG+Z sample rate, in
+                                 * [125, 1000] Hz: the rates the filter
+                                 * kernels are designed and tested for */
   double window_s;              /* look-back window (default 12 s) */
   uint32_t abi_version;         /* must be ICG_ABI_VERSION */
   uint32_t backend;             /* an icg_backend value */

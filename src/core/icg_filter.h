@@ -1,4 +1,5 @@
-// ICG conditioning (Section IV-A.2 of the paper).
+// Configuration of the ICG conditioning chain (Section IV-A.2 of the
+// paper), which core::IcgConditionerStage runs.
 //
 // The ICG is obtained from the impedance trace as ICG = -dZ/dt, then
 // cleaned with a zero-phase low-pass Butterworth at 20 Hz: the paper
@@ -7,43 +8,21 @@
 // are timing features (any group delay would bias PEP/LVET).
 #pragma once
 
-#include "dsp/biquad.h"
-#include "dsp/types.h"
+#include <cstddef>
 
 namespace icgkit::core {
 
 struct IcgFilterConfig {
-  std::size_t order = 4;     ///< poles of the causal prototype (doubled by filtfilt)
+  std::size_t order = 4;     ///< poles of the causal prototype (squared by zero-phase use)
   double cutoff_hz = 20.0;   ///< the paper's spectral-analysis-derived cut-off
-  /// Optional zero-phase high-pass for respiratory/motion baseline
-  /// suppression (0 disables). The paper's Section II identifies
+  /// Cut-off of the zero-phase high-pass for respiratory/motion baseline
+  /// suppression; must be positive. The paper's Section II identifies
   /// respiration (0.04-2 Hz) and motion (0.1-10 Hz) as the dominant ICG
   /// artifacts and cites wavelet-based suppression as the established
   /// remedy; a 0.8 Hz zero-phase high-pass is the equivalent linear
-  /// stage and markedly reduces the B-point bias on touch recordings
-  /// (ablated in the delineation noise sweep tests).
+  /// stage and markedly reduces the B-point bias on touch recordings.
   double highpass_hz = 0.8;
   std::size_t highpass_order = 2;
 };
-
-class IcgFilter {
- public:
-  explicit IcgFilter(dsp::SampleRate fs, const IcgFilterConfig& cfg = {});
-
-  /// Zero-phase low-pass over an ICG segment.
-  [[nodiscard]] dsp::Signal apply(dsp::SignalView icg) const;
-
-  [[nodiscard]] const dsp::SosFilter& filter() const { return lp_; }
-  [[nodiscard]] dsp::SampleRate sample_rate() const { return fs_; }
-
- private:
-  dsp::SampleRate fs_;
-  dsp::SosFilter lp_;
-  bool has_hp_ = false;
-  dsp::SosFilter hp_;
-};
-
-/// ICG = -dZ/dt from a (possibly raw) impedance trace, in Ohm/s.
-dsp::Signal icg_from_impedance(dsp::SignalView z_ohm, dsp::SampleRate fs);
 
 } // namespace icgkit::core

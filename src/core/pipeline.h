@@ -88,6 +88,17 @@ struct PipelineConfig {
   EnsembleConfig ensemble{};
 };
 
+/// The sample rates the engine supports, in Hz. Every designed kernel is
+/// pinned at 125-1000 Hz; the filter designs refuse fs <= 80 Hz, and Q31
+/// coefficients leave the Q2.30 range from about 1.9 kHz. The C ABI and
+/// the network server refuse rates outside this range.
+inline constexpr double kMinSampleRateHz = 125.0;
+inline constexpr double kMaxSampleRateHz = 1000.0;
+
+[[nodiscard]] constexpr bool sample_rate_supported(double fs_hz) {
+  return fs_hz >= kMinSampleRateHz && fs_hz <= kMaxSampleRateHz;
+}
+
 /// One fully-processed beat.
 struct BeatRecord {
   BeatDelineation points;

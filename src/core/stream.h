@@ -30,13 +30,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
 namespace icgkit::core {
 
-/// The 0.05-40 Hz zero-phase FIR kernel of the ECG cleaning chain.
+/// The zero-phase FIR band-pass kernel of the ECG cleaning chain
+/// (designed 0.05-40 Hz; see ecg/ecg_filter.h for the realized band).
 dsp::FirCoefficients ecg_cleaner_fir_kernel(dsp::SampleRate fs,
                                             const ecg::EcgFilterConfig& cfg);
 /// The symmetric zero-phase kernel of the 20 Hz ICG Butterworth low-pass
@@ -44,19 +44,16 @@ dsp::FirCoefficients ecg_cleaner_fir_kernel(dsp::SampleRate fs,
 dsp::FirCoefficients icg_conditioner_lowpass_kernel(dsp::SampleRate fs,
                                                     const IcgFilterConfig& cfg);
 
-/// Streaming twin of EcgFilter::apply: morphological baseline removal
-/// (bit-identical to the batch estimator) followed by the 0.05-40 Hz FIR
-/// band-pass as a causal symmetric kernel equal to the zero-phase
-/// filtfilt response. Honors the EcgFilterConfig ablation switches.
+/// The ECG cleaning chain: morphological baseline removal (bit-identical
+/// to dsp::remove_baseline) followed by the FIR band-pass as a causal
+/// symmetric kernel equal to its zero-phase filtfilt response.
 template <typename B>
 class BasicEcgCleanerStage {
  public:
   using sample_t = typename B::sample_t;
 
-  BasicEcgCleanerStage(dsp::SampleRate fs, const ecg::EcgFilterConfig& cfg = {}) {
-    if (cfg.enable_morphological_stage) morph_.emplace(fs, cfg.baseline);
-    if (cfg.enable_fir_stage) fir_.emplace(ecg_cleaner_fir_kernel(fs, cfg));
-  }
+  BasicEcgCleanerStage(dsp::SampleRate fs, const ecg::EcgFilterConfig& cfg = {})
+      : morph_(fs, cfg.baseline), fir_(ecg_cleaner_fir_kernel(fs, cfg)) {}
 
   /// Feeds a chunk, one pass per sub-stage over the whole chunk. For
   /// every input sample appends one entry to `cum`: the absolute size of
@@ -67,78 +64,50 @@ class BasicEcgCleanerStage {
   /// stage.
   void process_chunk(std::span<const sample_t> x, std::vector<sample_t>& out,
                      std::vector<std::uint32_t>& cum) {
-    if (!morph_.has_value()) {
-      if (fir_.has_value()) {
-        fir_->process_chunk_counted(x, out, cum);
-      } else {
-        for (const sample_t v : x) {
-          out.push_back(v);
-          cum.push_back(static_cast<std::uint32_t>(out.size()));
-        }
-      }
-      return;
-    }
-    if (!fir_.has_value()) {
-      for (const sample_t v : x) {
-        morph_->push(v, out);
-        cum.push_back(static_cast<std::uint32_t>(out.size()));
-      }
-      return;
-    }
     morph_arena_.clear();
     morph_cum_.clear();
     for (const sample_t v : x) {
-      morph_->push(v, morph_arena_);
+      morph_.push(v, morph_arena_);
       morph_cum_.push_back(static_cast<std::uint32_t>(morph_arena_.size()));
     }
     const auto base = static_cast<std::uint32_t>(out.size());
     fir_cum_.clear();
-    fir_->process_chunk_counted(morph_arena_, out, fir_cum_);
+    fir_.process_chunk_counted(morph_arena_, out, fir_cum_);
     for (std::size_t i = 0; i < x.size(); ++i)
       cum.push_back(morph_cum_[i] > 0 ? fir_cum_[morph_cum_[i] - 1] : base);
   }
 
   void finish(std::vector<sample_t>& out) {
-    if (morph_.has_value() && fir_.has_value()) {
-      scratch_.clear();
-      morph_->finish(scratch_);
-      for (const sample_t v : scratch_) fir_->push(v, out);
-      fir_->finish(out);
-      return;
-    }
-    if (morph_.has_value()) morph_->finish(out);
-    if (fir_.has_value()) fir_->finish(out);
+    scratch_.clear();
+    morph_.finish(scratch_);
+    for (const sample_t v : scratch_) fir_.push(v, out);
+    fir_.finish(out);
   }
 
-  /// Serializes the enabled sub-stages for core::Checkpoint round trips;
-  /// load_state() rejects blobs whose stage layout (ablation switches)
-  /// differs from this instance's configuration.
+  /// Serializes both sub-stages for core::Checkpoint round trips. The v1
+  /// layout leads with one presence byte per sub-stage: save_state()
+  /// always sets both, and load_state() refuses a blob with either
+  /// cleared.
   template <typename W>
   void save_state(W& w) const {
-    w.boolean(morph_.has_value());
-    w.boolean(fir_.has_value());
-    if (morph_.has_value()) morph_->save_state(w);
-    if (fir_.has_value()) fir_->save_state(w);
+    w.boolean(true);
+    w.boolean(true);
+    morph_.save_state(w);
+    fir_.save_state(w);
   }
 
   template <typename R>
   void load_state(R& r) {
-    if (r.boolean() != morph_.has_value() || r.boolean() != fir_.has_value())
-      r.fail("EcgCleanerStage: stage layout mismatch");
-    if (morph_.has_value()) morph_->load_state(r);
-    if (fir_.has_value()) fir_->load_state(r);
+    if (!r.boolean() || !r.boolean()) r.fail("EcgCleanerStage: sub-stage missing");
+    morph_.load_state(r);
+    fir_.load_state(r);
   }
 
-  [[nodiscard]] std::size_t latency() const {
-    std::size_t d = 0;
-    if (morph_.has_value()) d += morph_->delay();
-    if (fir_.has_value()) d += fir_->delay();
-    return d;
-  }
+  [[nodiscard]] std::size_t latency() const { return morph_.delay() + fir_.delay(); }
 
  private:
-  std::optional<dsp::BasicStreamingBaselineRemover<B>> morph_;
-  std::optional<dsp::BasicStreamingZeroPhaseFir<B>> fir_;
+  dsp::BasicStreamingBaselineRemover<B> morph_;
+  dsp::BasicStreamingZeroPhaseFir<B> fir_;
   std::vector<sample_t> scratch_;
   // process_chunk arenas: intermediate morph outputs and per-stage
   // cumulative-output snapshots, reused across chunks (no steady-state
@@ -150,12 +119,12 @@ class BasicEcgCleanerStage {
 
 using EcgCleanerStage = BasicEcgCleanerStage<dsp::DoubleBackend>;
 
-/// Streaming twin of the ICG conditioning chain: impedance in, cleaned
-/// ICG (-dZ/dt, zero-phase 20 Hz low-pass, zero-phase baseline high-pass)
-/// out. The derivative uses the batch central-difference stencil (one
-/// sample of lookahead), the low-pass a symmetric kernel equal to the
-/// zero-phase Butterworth response, and the high-pass the decimated
-/// zero-phase baseline subtractor (see StreamingZeroPhaseHighpass).
+/// The ICG conditioning chain: impedance in, cleaned ICG (-dZ/dt,
+/// zero-phase 20 Hz low-pass, zero-phase baseline high-pass) out. The
+/// derivative uses the batch central-difference stencil (one sample of
+/// lookahead), the low-pass a symmetric kernel equal to the zero-phase
+/// Butterworth response, and the high-pass the decimated zero-phase
+/// baseline subtractor (see StreamingZeroPhaseHighpass).
 ///
 /// `deriv_gain_log2` is the fixed-point scaling policy hook: the double
 /// backend multiplies the derivative by fs as always, while the Q31
@@ -170,14 +139,8 @@ class BasicIcgConditionerStage {
   BasicIcgConditionerStage(dsp::SampleRate fs, const IcgFilterConfig& cfg = {},
                            int deriv_gain_log2 = 0)
       : fs_(fs), gain_log2_(deriv_gain_log2),
-        lp_(icg_conditioner_lowpass_kernel(fs, cfg)) {
-    if (cfg.highpass_hz > 0.0) {
-      dsp::ZeroPhaseHighpassConfig hp_cfg;
-      hp_cfg.cutoff_hz = cfg.highpass_hz;
-      hp_cfg.order = cfg.highpass_order;
-      hp_.emplace(fs, hp_cfg);
-    }
-  }
+        lp_(icg_conditioner_lowpass_kernel(fs, cfg)),
+        hp_(fs, {.cutoff_hz = cfg.highpass_hz, .order = cfg.highpass_order}) {}
 
   /// Feeds a chunk: derivative stencil, low-pass FIR and baseline
   /// high-pass each run as one flat pass over the chunk. Appends one
@@ -207,16 +170,9 @@ class BasicIcgConditionerStage {
     lp_.process_chunk_counted(d_arena_, lp_arena_, lp_cum_);
     const auto base = static_cast<std::uint32_t>(out.size());
     hp_cum_.clear();
-    if (hp_.has_value()) {
-      for (const sample_t v : lp_arena_) {
-        hp_->push(v, out);
-        hp_cum_.push_back(static_cast<std::uint32_t>(out.size()));
-      }
-    } else {
-      for (const sample_t v : lp_arena_) {
-        out.push_back(v);
-        hp_cum_.push_back(static_cast<std::uint32_t>(out.size()));
-      }
+    for (const sample_t v : lp_arena_) {
+      hp_.push(v, out);
+      hp_cum_.push_back(static_cast<std::uint32_t>(out.size()));
     }
     for (std::size_t i = 0; i < x.size(); ++i) {
       const std::uint32_t nd = d_cum_[i];
@@ -227,24 +183,26 @@ class BasicIcgConditionerStage {
 
   void finish(std::vector<sample_t>& out) {
     // Trailing derivative sample: batch edge form -(x[n-1] - x[n-2]) * fs.
-    if (z_count_ >= 2)
-      on_derivative(B::rescale(B::neg(B::sub(prev_[1], prev_[0])), fs_, gain_log2_),
-                    out);
-    else if (z_count_ == 1)
-      on_derivative(sample_t{}, out);
     lp_scratch_.clear();
+    if (z_count_ >= 2)
+      lp_.push(B::rescale(B::neg(B::sub(prev_[1], prev_[0])), fs_, gain_log2_),
+               lp_scratch_);
+    else if (z_count_ == 1)
+      lp_.push(sample_t{}, lp_scratch_);
     lp_.finish(lp_scratch_);
-    for (const sample_t v : lp_scratch_) on_lowpassed(v, out);
-    if (hp_.has_value()) hp_->finish(out);
+    for (const sample_t v : lp_scratch_) hp_.push(v, out);
+    hp_.finish(out);
   }
 
   /// Serializes the low-pass/high-pass kernels and the derivative
-  /// stencil's two-sample history for core::Checkpoint round trips.
+  /// stencil's two-sample history for core::Checkpoint round trips. The
+  /// v1 layout carries a presence byte before the high-pass: save_state()
+  /// always sets it, and load_state() refuses a blob with it cleared.
   template <typename W>
   void save_state(W& w) const {
     lp_.save_state(w);
-    w.boolean(hp_.has_value());
-    if (hp_.has_value()) hp_->save_state(w);
+    w.boolean(true);
+    hp_.save_state(w);
     w.value(prev_[0]);
     w.value(prev_[1]);
     w.u64(z_count_);
@@ -253,36 +211,20 @@ class BasicIcgConditionerStage {
   template <typename R>
   void load_state(R& r) {
     lp_.load_state(r);
-    if (r.boolean() != hp_.has_value())
-      r.fail("IcgConditionerStage: stage layout mismatch");
-    if (hp_.has_value()) hp_->load_state(r);
+    if (!r.boolean()) r.fail("IcgConditionerStage: baseline high-pass missing");
+    hp_.load_state(r);
     prev_[0] = r.template value<sample_t>();
     prev_[1] = r.template value<sample_t>();
     z_count_ = r.u64();
   }
 
-  [[nodiscard]] std::size_t latency() const {
-    return 1 + lp_.delay() + (hp_.has_value() ? hp_->delay() : 0);
-  }
+  [[nodiscard]] std::size_t latency() const { return 1 + lp_.delay() + hp_.delay(); }
 
  private:
-  void on_derivative(sample_t d, std::vector<sample_t>& out) {
-    lp_scratch_.clear();
-    lp_.push(d, lp_scratch_);
-    for (const sample_t v : lp_scratch_) on_lowpassed(v, out);
-  }
-
-  void on_lowpassed(sample_t v, std::vector<sample_t>& out) {
-    if (hp_.has_value())
-      hp_->push(v, out);
-    else
-      out.push_back(v);
-  }
-
   dsp::SampleRate fs_;
   int gain_log2_;
   dsp::BasicStreamingZeroPhaseFir<B> lp_;
-  std::optional<dsp::BasicStreamingZeroPhaseHighpass<B>> hp_;
+  dsp::BasicStreamingZeroPhaseHighpass<B> hp_;
   std::vector<sample_t> lp_scratch_;
   sample_t prev_[2] = {};        ///< last two impedance samples
   std::size_t z_count_ = 0;

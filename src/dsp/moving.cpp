@@ -7,24 +7,6 @@
 
 namespace icgkit::dsp {
 
-Signal moving_average(SignalView x, std::size_t width) {
-  if (width == 0 || width % 2 == 0)
-    ICGKIT_THROW(std::invalid_argument("moving_average: width must be odd"));
-  const Index n = static_cast<Index>(x.size());
-  const Index half = static_cast<Index>(width / 2);
-  Signal y(x.size(), 0.0);
-  double sum = 0.0;
-  Index lo = 0, hi = -1; // current inclusive window [lo, hi]
-  for (Index c = 0; c < n; ++c) {
-    const Index want_lo = std::max<Index>(0, c - half);
-    const Index want_hi = std::min<Index>(n - 1, c + half);
-    while (hi < want_hi) sum += x[static_cast<std::size_t>(++hi)];
-    while (lo < want_lo) sum -= x[static_cast<std::size_t>(lo++)];
-    y[static_cast<std::size_t>(c)] = sum / static_cast<double>(want_hi - want_lo + 1);
-  }
-  return y;
-}
-
 Signal moving_window_integrate(SignalView x, std::size_t width) {
   if (width == 0) ICGKIT_THROW(std::invalid_argument("moving_window_integrate: width must be >= 1"));
   Signal y(x.size(), 0.0);
@@ -34,17 +16,6 @@ Signal moving_window_integrate(SignalView x, std::size_t width) {
     if (i >= width) sum -= x[i - width];
     const std::size_t effective = std::min(i + 1, width);
     y[i] = sum / static_cast<double>(effective);
-  }
-  return y;
-}
-
-Signal ema(SignalView x, double alpha) {
-  if (alpha <= 0.0 || alpha > 1.0) ICGKIT_THROW(std::invalid_argument("ema: alpha in (0, 1]"));
-  Signal y(x.size());
-  double state = x.empty() ? 0.0 : x[0];
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    state = alpha * x[i] + (1.0 - alpha) * state;
-    y[i] = state;
   }
   return y;
 }

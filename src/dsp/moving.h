@@ -1,5 +1,5 @@
-// Moving-window operators: average, integration (Pan-Tompkins MWI) and
-// exponential smoothing.
+// Moving-window integration (Pan-Tompkins MWI): the batch reference and
+// its streaming form.
 #pragma once
 
 #include "dsp/backend.h"
@@ -13,16 +13,9 @@
 
 namespace icgkit::dsp {
 
-/// Centered moving average over `width` samples (odd width; shrinking
-/// windows at the edges).
-Signal moving_average(SignalView x, std::size_t width);
-
 /// Causal moving-window integration as used by Pan-Tompkins:
 /// y[n] = mean(x[n-width+1 .. n]) with a growing window at the start.
 Signal moving_window_integrate(SignalView x, std::size_t width);
-
-/// First-order exponential moving average, y[n] = a*x[n] + (1-a)*y[n-1].
-Signal ema(SignalView x, double alpha);
 
 /// Streaming causal moving average (used by the embedded-style pipeline),
 /// generic over the numeric backend (dsp/backend.h). Matches
@@ -51,13 +44,6 @@ class BasicStreamingMovingAverage {
     sum_ = B::acc_add(sum_, x);
     if (was_full) sum_ = B::acc_sub(sum_, oldest);
     return B::mean(sum_, buf_.size());
-  }
-  /// Back-compat alias for tick().
-  sample_t process(sample_t x) { return tick(x); }
-
-  void reset() {
-    buf_.clear();
-    sum_ = B::acc_zero();
   }
 
   /// Serializes the window contents and running sum for core::Checkpoint

@@ -43,12 +43,10 @@ namespace icgkit::dsp {
 struct ZeroPhaseHighpassConfig {
   double cutoff_hz = 0.8;
   std::size_t order = 2;      ///< Butterworth order of the baseline low-pass
-  /// Decimation factor; 0 = auto (keeps the decimated rate ~16x cutoff).
-  std::size_t decimation = 0;
-  double kernel_tol = 1e-4;   ///< truncation tolerance of the baseline kernel
 };
 
-/// Decimation factor the stage will use (validates fs/cutoff).
+/// Decimation factor the stage will use, keeping the decimated rate about
+/// 16x the cutoff (validates fs/cutoff).
 std::size_t zero_phase_highpass_decimation(SampleRate fs,
                                            const ZeroPhaseHighpassConfig& cfg);
 /// The baseline low-pass kernel at the decimated rate fs/m.

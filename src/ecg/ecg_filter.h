@@ -1,14 +1,21 @@
-// The paper's ECG cleaning chain (Section IV-A.1):
+// Configuration of the paper's ECG cleaning chain (Section IV-A.1), which
+// core::EcgCleanerStage runs:
 //   1. baseline-wander removal by morphological filtering (Sun et al.
 //      2002: opening then closing with QRS- and wave-sized structuring
 //      elements, subtracting the estimate), then
-//   2. a zero-phase 32nd-order FIR band-pass with cut-offs 0.05 Hz and
-//      40 Hz for high-frequency noise and residual artifact removal.
+//   2. a zero-phase 32nd-order FIR band-pass designed with cut-offs
+//      0.05 Hz and 40 Hz.
+//
+// The FIR's cut-offs are design values, not the realized band: 33 taps
+// cannot place a 0.05 Hz edge. At fs = 250 Hz the zero-phase response is
+// 11-34 Hz at -3 dB, with |G| = 0.0002 at 1 Hz and 0.08 at 5 Hz, so the
+// FIR alone removes sub-hertz wander too. The order does not scale with
+// fs, so the realized band moves with the sample rate.
 #pragma once
 
-#include "dsp/fir_design.h"
 #include "dsp/morphology.h"
-#include "dsp/types.h"
+
+#include <cstddef>
 
 namespace icgkit::ecg {
 
@@ -17,27 +24,6 @@ struct EcgFilterConfig {
   double f1_hz = 0.05;
   double f2_hz = 40.0;
   dsp::BaselineEstimatorConfig baseline{};
-  bool enable_morphological_stage = true; ///< ablation switch
-  bool enable_fir_stage = true;           ///< ablation switch
-};
-
-class EcgFilter {
- public:
-  EcgFilter(dsp::SampleRate fs, const EcgFilterConfig& cfg = {});
-
-  /// Runs the full chain over a recording segment.
-  [[nodiscard]] dsp::Signal apply(dsp::SignalView ecg) const;
-
-  /// Stage outputs, exposed for the ablation bench.
-  [[nodiscard]] dsp::Signal baseline_estimate(dsp::SignalView ecg) const;
-
-  [[nodiscard]] dsp::SampleRate sample_rate() const { return fs_; }
-  [[nodiscard]] const dsp::FirCoefficients& fir() const { return fir_; }
-
- private:
-  dsp::SampleRate fs_;
-  EcgFilterConfig cfg_;
-  dsp::FirCoefficients fir_;
 };
 
 } // namespace icgkit::ecg

@@ -55,7 +55,7 @@ ServerStatus validate_server_config(const ServerConfig& cfg) {
   if (cfg.tenant_pending_chunks == 0) return ServerStatus::BadPendingBound;
   if (cfg.rebalance_period_chunks > 0 && cfg.rebalance_min_gap == 0)
     return ServerStatus::BadRebalanceGap;
-  if (!(cfg.fs_hz > 0.0) || cfg.fs_hz > 100000.0) return ServerStatus::BadSampleRate;
+  if (!core::sample_rate_supported(cfg.fs_hz)) return ServerStatus::BadSampleRate;
   if (cfg.fleet.workers == 0 || cfg.fleet.max_chunk == 0 ||
       cfg.fleet.chunk_slots_per_session == 0 ||
       (cfg.fleet.batch_width > 1 &&

@@ -65,7 +65,7 @@ enum class ServerStatus : std::int32_t {
   BadRebalanceGap = -4,     ///< rebalancing on with a zero gap
   BadOutbufBound = -5,      ///< too small to carry one max frame
   BadFrameBound = -6,       ///< max_frame_bytes cannot fit one CHNK
-  BadSampleRate = -7,       ///< fs_hz not in (0, 100000]
+  BadSampleRate = -7,       ///< fs_hz outside core::sample_rate_supported()
   BadFleetConfig = -8,      ///< nested FleetConfig fails its own checks
   AlreadyBound = -9,        ///< bind() called twice
   BindFailed = -10,         ///< socket/bind/listen refused by the OS

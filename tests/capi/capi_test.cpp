@@ -407,6 +407,30 @@ TEST(CApiAbuseTest, BadConfigValuesAreRefused) {
   EXPECT_EQ(icg_session_create(&cfg), nullptr);
 }
 
+TEST(CApiAbuseTest, UnsupportedSampleRatesAreRefused) {
+  // The engine's filters are designed for 125-1000 Hz. Outside that range
+  // create must report ICG_ERR_BAD_CONFIG on both backends before any
+  // filter is designed: at 50 Hz the ECG band-pass design itself fails
+  // (an abort in the no-exceptions build), and at 2 kHz Q31 coefficients
+  // leave the Q2.30 range.
+  for (const std::uint32_t backend : {ICG_BACKEND_DOUBLE, ICG_BACKEND_Q31}) {
+    for (const double fs : {50.0, 124.0, 1001.0, 2000.0}) {
+      icg_config cfg = test_config(backend);
+      cfg.sample_rate_hz = fs;
+      EXPECT_EQ(icg_session_create(&cfg), nullptr) << backend << " at " << fs << " Hz";
+      EXPECT_NE(std::strstr(icg_last_error(), "ICG_ERR_BAD_CONFIG"), nullptr)
+          << backend << " at " << fs << " Hz: " << icg_last_error();
+    }
+    for (const double fs : {125.0, 1000.0}) {
+      icg_config cfg = test_config(backend);
+      cfg.sample_rate_hz = fs;
+      icg_session* s = icg_session_create(&cfg);
+      ASSERT_NE(s, nullptr) << backend << " at " << fs << " Hz: " << icg_last_error();
+      EXPECT_EQ(icg_session_destroy(s), ICG_OK);
+    }
+  }
+}
+
 TEST(CApiAbuseTest, BadHandlesNeverDereference) {
   icg_beat beat;
   const double samples[4] = {0, 0, 0, 0};

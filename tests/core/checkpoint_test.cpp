@@ -11,8 +11,10 @@
 #include "core/beat_serializer.h"
 #include "core/checkpoint.h"
 #include "core/pipeline.h"
+#include "core/stream.h"
 #include "dsp/filtfilt.h"
 #include "dsp/morphology.h"
+#include "dsp/zero_phase_highpass.h"
 #include "synth/recording.h"
 #include "synth/rng.h"
 #include "synth/subject.h"
@@ -26,6 +28,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -236,6 +239,59 @@ TEST(CheckpointKernelTest, BaselineRemoverResumesBitIdentically) {
   for (std::size_t i = cut; i < x.size(); ++i) b.push(x[i], out);
   b.finish(out);
   EXPECT_EQ(ref_out, out);
+}
+
+// Loads what `write` puts in one section into `stage`.
+template <typename Stage, typename Write>
+void load_section(Stage& stage, Write write) {
+  StateWriter w;
+  w.begin_section("TEST");
+  write(w);
+  w.end_section();
+  const auto blob = w.take();
+  StateReader r(blob);
+  r.begin_section("TEST");
+  stage.load_state(r);
+  r.end_section();
+}
+
+TEST(CheckpointKernelTest, ClearedStagePresenceByteIsRefused) {
+  // The v1 layouts keep a presence byte per conditioning sub-stage. Every
+  // sub-stage always runs, so a blob with a cleared byte is refused.
+  const dsp::StreamingBaselineRemover morph(kFs);
+  const dsp::StreamingZeroPhaseFir band(core::ecg_cleaner_fir_kernel(kFs, {}));
+  for (const auto& [has_morph, has_fir] : {std::pair{true, true}, std::pair{false, true},
+                                           std::pair{true, false}}) {
+    core::EcgCleanerStage ecg(kFs);
+    const auto write = [&](StateWriter& w) {
+      w.boolean(has_morph);
+      w.boolean(has_fir);
+      morph.save_state(w);
+      band.save_state(w);
+    };
+    if (has_morph && has_fir)
+      EXPECT_NO_THROW(load_section(ecg, write));
+    else
+      EXPECT_THROW(load_section(ecg, write), CheckpointError);
+  }
+
+  const dsp::StreamingZeroPhaseFir lowpass(core::icg_conditioner_lowpass_kernel(kFs, {}));
+  const dsp::StreamingZeroPhaseHighpass highpass(kFs);
+  for (const bool has_highpass : {true, false}) {
+    core::IcgConditionerStage icg(kFs);
+    const auto write = [&](StateWriter& w) {
+      lowpass.save_state(w);
+      w.boolean(has_highpass);
+      highpass.save_state(w);
+      w.f64(0.0);
+      w.f64(0.0);
+      w.u64(0);
+    };
+    if (has_highpass)
+      EXPECT_NO_THROW(load_section(icg, write));
+    else
+      EXPECT_THROW(load_section(icg, write), CheckpointError);
+  }
 }
 
 TEST(CheckpointKernelTest, RngResumesItsSubstreamExactly) {

@@ -1,6 +1,9 @@
 #include "core/delineator.h"
 
-#include "core/icg_filter.h"
+#include "common/filtered.h"
+#include "core/stream.h"
+#include "dsp/filtfilt.h"
+#include "dsp/zero_phase_highpass.h"
 #include "synth/artifacts.h"
 #include "synth/icg_synth.h"
 
@@ -48,8 +51,11 @@ Errors run_delineation(const Scenario& sc, const DelineationConfig& cfg = {},
   const IcgDelineator delineator(kFs, cfg);
   dsp::Signal icg = sc.synthesis.icg;
   if (prefilter) {
-    const IcgFilter f(kFs);
-    icg = f.apply(icg);
+    // The engine's ICG filters after its derivative: the 20 Hz low-pass,
+    // then the baseline high-pass.
+    icg = test::filtered(dsp::StreamingZeroPhaseFir(icg_conditioner_lowpass_kernel(kFs, {})),
+                         icg);
+    icg = test::filtered(dsp::StreamingZeroPhaseHighpass(kFs), icg);
   }
   Errors e;
   for (std::size_t i = 0; i < sc.synthesis.beats.size(); ++i) {

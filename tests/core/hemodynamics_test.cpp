@@ -1,11 +1,15 @@
 #include "core/hemodynamics.h"
 
-#include "core/icg_filter.h"
+#include "common/filtered.h"
 #include "core/quality.h"
+#include "core/stream.h"
+#include "dsp/filtfilt.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numbers>
 
 namespace icgkit::core {
 namespace {
@@ -162,34 +166,59 @@ TEST(QualityTest, DescribeOk) {
 }
 
 TEST(IcgFilterTest, IcgFromImpedanceSignConvention) {
-  // Z falling (ejection) must give positive ICG.
-  dsp::Signal z(100);
-  for (std::size_t i = 0; i < z.size(); ++i) z[i] = 25.0 - 0.01 * static_cast<double>(i);
-  const dsp::Signal icg = icg_from_impedance(z, kFs);
-  for (std::size_t i = 1; i + 1 < icg.size(); ++i) EXPECT_NEAR(icg[i], 0.01 * kFs, 1e-9);
+  // Z falling (ejection) must give a positive conditioned ICG. The fall
+  // is a transient, a 0.1 Ohm raised-cosine step over 100 ms: the 0.8 Hz
+  // baseline high-pass removes a constant slope.
+  constexpr std::size_t kStart = 1000, kLen = 25;
+  dsp::Signal z(2000, 25.0);
+  for (std::size_t i = kStart; i < z.size(); ++i) {
+    const double phase = std::min(1.0, static_cast<double>(i - kStart) / kLen);
+    z[i] -= 0.05 * (1.0 - std::cos(std::numbers::pi * phase));
+  }
+  const dsp::Signal icg = test::filtered(IcgConditionerStage(kFs), z);
+  ASSERT_EQ(icg.size(), z.size());
+  const auto peak = std::max_element(icg.begin(), icg.end());
+  // -dZ/dt peaks mid-fall, at 0.05 * pi / 100 ms = 1.57 Ohm/s before
+  // filtering; the high-pass's undershoot stays far smaller.
+  EXPECT_NEAR(static_cast<double>(peak - icg.begin()), kStart + kLen / 2.0, 2.0);
+  EXPECT_GT(*peak, 1.2);
+  EXPECT_GT(*peak, -4.0 * *std::min_element(icg.begin(), icg.end()));
 }
 
 TEST(IcgFilterTest, TwentyHzCutoffApplied) {
-  const IcgFilter f(kFs);
-  // A 40 Hz tone must be strongly attenuated, a 5 Hz tone preserved.
+  // The engine's ICG low-pass on each backend: a 40 Hz tone must be
+  // strongly attenuated, a 5 Hz tone preserved. On Q31 the unit tones
+  // run at a quarter of full scale.
+  const dsp::FirCoefficients kernel = icg_conditioner_lowpass_kernel(kFs, {});
   dsp::Signal lo(2000), hi(2000);
   for (std::size_t i = 0; i < lo.size(); ++i) {
     const double t = static_cast<double>(i) / kFs;
     lo[i] = std::sin(2.0 * std::numbers::pi * 5.0 * t);
     hi[i] = std::sin(2.0 * std::numbers::pi * 40.0 * t);
   }
-  const dsp::Signal lo_f = f.apply(lo);
-  const dsp::Signal hi_f = f.apply(hi);
-  double lo_rms = 0.0, hi_rms = 0.0;
-  for (std::size_t i = 300; i + 300 < lo.size(); ++i) {
-    lo_rms += lo_f[i] * lo_f[i];
-    hi_rms += hi_f[i] * hi_f[i];
+  const auto expect_cutoff = [&](const dsp::Signal& lo_f, const dsp::Signal& hi_f) {
+    double lo_rms = 0.0, hi_rms = 0.0;
+    for (std::size_t i = 300; i + 300 < lo.size(); ++i) {
+      lo_rms += lo_f[i] * lo_f[i];
+      hi_rms += hi_f[i] * hi_f[i];
+    }
+    EXPECT_GT(std::sqrt(lo_rms), 20.0 * std::sqrt(hi_rms));
+  };
+  {
+    SCOPED_TRACE("Double");
+    expect_cutoff(test::filtered(dsp::StreamingZeroPhaseFir(kernel), lo),
+                  test::filtered(dsp::StreamingZeroPhaseFir(kernel), hi));
   }
-  EXPECT_GT(std::sqrt(lo_rms), 20.0 * std::sqrt(hi_rms));
+  {
+    SCOPED_TRACE("Q31");
+    using Fir = dsp::BasicStreamingZeroPhaseFir<dsp::Q31Backend>;
+    expect_cutoff(test::filtered<dsp::Q31Backend>(Fir(kernel), lo, 4.0),
+                  test::filtered<dsp::Q31Backend>(Fir(kernel), hi, 4.0));
+  }
 }
 
 TEST(IcgFilterTest, RejectsBadFs) {
-  EXPECT_THROW(IcgFilter(0.0), std::invalid_argument);
+  EXPECT_THROW(IcgConditionerStage(0.0), std::invalid_argument);
 }
 
 } // namespace

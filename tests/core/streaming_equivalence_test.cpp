@@ -86,8 +86,8 @@ TEST(StreamingEquivalenceTest, BatchAndStreamingAreByteIdenticalAtEveryChunkSize
 TEST(StreamingEquivalenceTest, HoldsUnderNonDefaultConfig) {
   const synth::Recording rec = make_recording(15.0, 0, synth::Position::HoldToChest);
   PipelineConfig cfg;
-  cfg.ecg_filter.enable_morphological_stage = false; // ablation switch path
-  cfg.icg_filter.highpass_hz = 0.0;                  // no baseline high-pass
+  cfg.ecg_filter.f2_hz = 35.0;       // other ECG band-pass kernel
+  cfg.icg_filter.highpass_hz = 0.5;  // other baseline decimation and kernel
   const BeatPipeline batch(kFs, cfg);
   const PipelineResult batch_res = batch.process(rec.ecg_mv, rec.z_ohm);
   ASSERT_GT(batch_res.beats.size(), 8u);

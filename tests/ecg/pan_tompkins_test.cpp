@@ -1,6 +1,7 @@
 #include "ecg/pan_tompkins.h"
 
-#include "ecg/ecg_filter.h"
+#include "common/filtered.h"
+#include "core/stream.h"
 #include "synth/artifacts.h"
 #include "synth/ecg_synth.h"
 #include "synth/rr_process.h"
@@ -110,8 +111,7 @@ TEST(PanTompkinsTest, RobustToBaselineWanderAfterFiltering) {
     const double t = static_cast<double>(i) / kFs;
     gen.ecg_mv[i] += 1.0 * std::sin(2.0 * std::numbers::pi * 0.3 * t);
   }
-  const EcgFilter filter(kFs);
-  const dsp::Signal cleaned = filter.apply(gen.ecg_mv);
+  const dsp::Signal cleaned = test::filtered(core::EcgCleanerStage(kFs), gen.ecg_mv);
   const PanTompkins pt(kFs);
   const MatchStats m =
       match_detections(gen.r_times_s, r_peak_times(pt.detect(cleaned), kFs));

@@ -193,6 +193,15 @@ TEST(ServerTest, ConfigValidationStatuses) {
   EXPECT_EQ(twice.bind(), ServerStatus::AlreadyBound);
 }
 
+TEST(ServerTest, UnsupportedSampleRateIsRefusedAtBind) {
+  // A rate the engine cannot build its filters for must fail bind(),
+  // not the IO thread at the first OPEN.
+  auto cfg = test_config();
+  cfg.fs_hz = 50.0;
+  net::FleetServer server(cfg);
+  EXPECT_EQ(server.bind(), net::ServerStatus::BadSampleRate);
+}
+
 TEST(ServerTest, LoopbackBeatsMatchDirectPipelineBytes) {
   const auto workload = test_workload(2, 8.0);
   constexpr std::uint32_t kStreams = 4;
