@@ -15,8 +15,9 @@
  * Flow (identical for both builds): check that an unsupported sample
  * rate is refused, create a session, stream fixed-size chunks, poll
  * beats as they surface, finish, read the quality summary, then
- * round-trip a checkpoint into a second session.  Every call's status
- * is checked — the ABI never aborts on bad input, it reports.
+ * round-trip a checkpoint into a second session after feeding it
+ * corrupt, truncated and CRC-valid-but-refused blobs.  Every call's
+ * status is checked — the ABI never aborts on bad input, it reports.
  */
 
 #include "capi/icgkit.h"
@@ -84,6 +85,45 @@ static int fill_recording(void) {
   fill_demo_recording();
 #endif
   return 0;
+}
+
+/* CRC-32 (IEEE 802.3, reflected 0xEDB88320), one bit at a time: the
+ * checksum every checkpoint section carries. */
+static uint32_t crc32_ieee(const uint8_t* p, uint32_t n) {
+  uint32_t crc = 0xFFFFFFFFu;
+  uint32_t i;
+  int k;
+  for (i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (k = 0; k < 8; ++k) crc = (crc & 1u) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+/* XORs the first payload byte of the section tagged `tag` with `mask`
+ * and re-stamps that section's CRC, so the blob's frame stays intact
+ * and only a loader's own check can refuse it.  Sections follow the
+ * 8-byte header as [tag 4][payload length u32 LE][payload][CRC u32 LE].
+ * Applying the same edit twice restores the blob.  Returns 0, or -1
+ * when no section carries `tag`. */
+static int restamp_first_byte(uint8_t* blob, uint32_t len, const char* tag, uint8_t mask) {
+  uint32_t pos = 8;
+  while (pos + 8u <= len) {
+    const uint8_t* f = blob + pos + 4;
+    const uint32_t n = (uint32_t)f[0] | ((uint32_t)f[1] << 8) | ((uint32_t)f[2] << 16) |
+                       ((uint32_t)f[3] << 24);
+    if (memcmp(blob + pos, tag, 4) == 0) {
+      uint8_t* payload = blob + pos + 8;
+      uint32_t crc;
+      int i;
+      payload[0] ^= mask;
+      crc = crc32_ieee(payload, n);
+      for (i = 0; i < 4; ++i) payload[n + (uint32_t)i] = (uint8_t)(crc >> (8 * i));
+      return 0;
+    }
+    pos += 12u + n;
+  }
+  return -1;
 }
 
 /* Drains every queued beat, counting them and remembering the last one. */
@@ -174,9 +214,42 @@ static int run_backend(uint32_t backend, const char* name) {
       fprintf(stderr, "[%s] truncated blob not refused (rc=%d)\n", name, rc);
       return -1;
     }
+    /* Intact frames, refused payloads: the first ECGC stage-presence
+     * byte cleared, then the low byte of RING's first ring capacity
+     * flipped, each under a re-stamped CRC.  The loaders refuse them by
+     * value, so the no-exceptions build reports instead of aborting. */
+    {
+      static const char* const tags[2] = {"ECGC", "RING"};
+      int t;
+      for (t = 0; t < 2; ++t) {
+        if (restamp_first_byte(blob, written, tags[t], 0x01u) != 0) {
+          fprintf(stderr, "[%s] blob has no %s section\n", name, tags[t]);
+          return -1;
+        }
+        rc = icg_session_restore(twin, blob, written);
+        (void)restamp_first_byte(blob, written, tags[t], 0x01u); /* undo */
+        if (rc != ICG_ERR_BAD_CHECKPOINT) {
+          fprintf(stderr, "[%s] re-stamped %s blob not refused (rc=%d)\n", name, tags[t],
+                  rc);
+          return -1;
+        }
+      }
+    }
+    /* Those restores had replaced part of the state before the refusal,
+     * so the twin takes no pushes until a good restore brings it back. */
+    rc = icg_session_push(twin, g_ecg_mv, g_z_ohm, CHUNK);
+    if (rc != ICG_ERR_BAD_STATE) {
+      fprintf(stderr, "[%s] push after a refused restore returned %d\n", name, rc);
+      return -1;
+    }
     rc = icg_session_restore(twin, blob, written);
     if (rc != ICG_OK) {
       fprintf(stderr, "[%s] restore failed: %s\n", name, icg_last_error());
+      return -1;
+    }
+    rc = icg_session_push(twin, g_ecg_mv, g_z_ohm, CHUNK);
+    if (rc < 0) {
+      fprintf(stderr, "[%s] push after restore failed: %s\n", name, icg_last_error());
       return -1;
     }
     if (icg_session_destroy(twin) != ICG_OK) return -1;

@@ -14,9 +14,11 @@
 //    CheckpointError / bad_alloc / anything else to negative status
 //    codes. In the embedded profile (ICGKIT_NO_EXCEPTIONS) the core
 //    raises through icgkit::contract_panic instead, and guarded()
-//    compiles to a plain call — but every *checked* failure path is
-//    diagnosed right here at the boundary before reaching core code,
-//    so panics are reserved for genuine invariant breakage.
+//    compiles to a plain call. Bad input never reaches a raising path:
+//    arguments and chunk sizes are checked here, and a checkpoint blob
+//    is read by core::StateReader, which reports every violation by
+//    value (see icg_session_restore for the two refusal states), so
+//    panics are reserved for genuine invariant breakage.
 //  - After create, the push/poll/finish/checkpoint hot path performs no
 //    heap allocation once warm: the beat queue is a fixed ring sized at
 //    create, the BeatRecord scratch and checkpoint blob reuse their
@@ -38,6 +40,7 @@
 #include <cstring>
 #include <new>
 #include <span>
+#include <string>
 #include <vector>
 
 #if !defined(ICGKIT_CAPI_MINIMAL)
@@ -111,8 +114,10 @@ struct EngineIface {
   virtual void finish_into(std::vector<BeatRecord>& out) = 0;
   virtual const QualitySummary& quality() const = 0;
   virtual void checkpoint_into(std::vector<std::uint8_t>& blob) const = 0;
-  virtual bool restore_compatible(std::span<const std::uint8_t> blob) const noexcept = 0;
-  virtual void restore(std::span<const std::uint8_t> blob) = 0;
+  virtual bool restore_compatible(std::span<const std::uint8_t> blob) const = 0;
+  // Ends an active recording (as stopped), then restores without
+  // raising; false with the reader's message in `why` on a refusal.
+  virtual bool try_restore(std::span<const std::uint8_t> blob, std::string& why) = 0;
 #if !defined(ICGKIT_CAPI_MINIMAL)
   // Flight-record taps (hosted profile only: flight_recorder.cpp is not
   // part of libicgkit_embedded.a).
@@ -132,7 +137,6 @@ template <typename B>
 struct EngineOf final : EngineIface {
   BasicStreamingBeatPipeline<B> engine;
 #if !defined(ICGKIT_CAPI_MINIMAL)
-  double window_s;
   // Sink declared before the recorder so the recorder (which holds a
   // reference to it) is destroyed first.
   std::unique_ptr<icgkit::core::RecorderSink> rec_sink;
@@ -140,14 +144,8 @@ struct EngineOf final : EngineIface {
   bool rec_sink_is_mem = false;
 #endif
 
-  EngineOf(double fs, const PipelineConfig& cfg, double window_s_arg)
-      : engine(fs, cfg, window_s_arg)
-#if !defined(ICGKIT_CAPI_MINIMAL)
-        ,
-        window_s(window_s_arg)
-#endif
-  {
-  }
+  EngineOf(double fs, const PipelineConfig& cfg, double window_s)
+      : engine(fs, cfg, window_s) {}
 
   void push_into(icgkit::dsp::SignalView ecg, icgkit::dsp::SignalView z,
                  std::vector<BeatRecord>& out) override {
@@ -161,13 +159,7 @@ struct EngineOf final : EngineIface {
   void finish_into(std::vector<BeatRecord>& out) override {
     engine.finish_into(out);
 #if !defined(ICGKIT_CAPI_MINIMAL)
-    if (recorder) {
-      recorder->on_finish(engine, out);
-      recorder.reset();
-      // A file sink closes here; a memory sink keeps the finalized
-      // bytes retrievable through record_take_mem.
-      if (!rec_sink_is_mem) rec_sink.reset();
-    }
+    end_recording(&out);
 #endif
   }
   const QualitySummary& quality() const override { return engine.quality_summary(); }
@@ -176,37 +168,49 @@ struct EngineOf final : EngineIface {
     // is what keeps the warmed-up checkpoint path allocation-free.
     engine.checkpoint_into(blob);
   }
-  bool restore_compatible(std::span<const std::uint8_t> blob) const noexcept override {
+  bool restore_compatible(std::span<const std::uint8_t> blob) const override {
     return engine.restore_compatible(blob);
   }
-  void restore(std::span<const std::uint8_t> blob) override { engine.restore(blob); }
+  bool try_restore(std::span<const std::uint8_t> blob, std::string& why) override {
+#if !defined(ICGKIT_CAPI_MINIMAL)
+    // Samples pushed after a restore no longer follow from the recorded
+    // state, so an active recording ends (as stopped) before the jump.
+    end_recording(nullptr);
+#endif
+    return engine.try_restore(blob, why);
+  }
 #if !defined(ICGKIT_CAPI_MINIMAL)
   void record_start(const char* path, std::uint64_t interval) override {
-    auto sink = std::make_unique<icgkit::core::FileRecorderSink>(path);
-    icgkit::core::FlightRecorderConfig rcfg;
-    if (interval != 0) rcfg.checkpoint_interval = interval;
-    rcfg.window_s = window_s;
-    rcfg.note = "capi icg_session_record_start";
-    recorder = std::make_unique<icgkit::core::FlightRecorder>(*sink, engine, rcfg);
-    rec_sink = std::move(sink);
-    rec_sink_is_mem = false;
+    start_recording(std::make_unique<icgkit::core::FileRecorderSink>(path), false, interval,
+                    "capi icg_session_record_start");
   }
   void record_start_mem(std::uint64_t interval) override {
-    auto sink = std::make_unique<icgkit::core::BufferRecorderSink>();
+    start_recording(std::make_unique<icgkit::core::BufferRecorderSink>(), true, interval,
+                    "capi icg_session_record_start_mem");
+  }
+  void start_recording(std::unique_ptr<icgkit::core::RecorderSink> sink, bool is_mem,
+                       std::uint64_t interval, const char* note) {
     icgkit::core::FlightRecorderConfig rcfg;
     if (interval != 0) rcfg.checkpoint_interval = interval;
-    rcfg.window_s = window_s;
-    rcfg.note = "capi icg_session_record_start_mem";
+    rcfg.note = note;
     recorder = std::make_unique<icgkit::core::FlightRecorder>(*sink, engine, rcfg);
     rec_sink = std::move(sink);
-    rec_sink_is_mem = true;
+    rec_sink_is_mem = is_mem;
+  }
+  // Writes the end marker and closes the recorder, the way finish (with
+  // its tail beats) and restore (stopped, no tail) end a recording: a
+  // file sink closes, a memory sink keeps its bytes for one
+  // record_mem_bytes() take.
+  void end_recording(const std::vector<BeatRecord>* tail) {
+    if (!recorder) return;
+    if (tail != nullptr) recorder->on_finish(engine, *tail);
+    else recorder->on_stop(engine);
+    recorder.reset();
+    if (!rec_sink_is_mem) rec_sink.reset();
   }
   const std::vector<std::uint8_t>* record_mem_bytes() override {
     if (!rec_sink_is_mem || !rec_sink) return nullptr;
-    if (recorder) {  // finalize (end marker) exactly once
-      recorder->on_stop(engine);
-      recorder.reset();
-    }
+    end_recording(nullptr);  // a live recording gets its end marker once
     return &static_cast<icgkit::core::BufferRecorderSink&>(*rec_sink).bytes();
   }
   void record_mem_discard() override {
@@ -215,10 +219,8 @@ struct EngineOf final : EngineIface {
   }
   void record_stop() override {
     if (!recorder) return;
-    recorder->on_stop(engine);
-    recorder.reset();
-    rec_sink.reset();
-    rec_sink_is_mem = false;
+    end_recording(nullptr);
+    record_mem_discard();
   }
   bool recording() const noexcept override { return recorder != nullptr; }
 #endif
@@ -228,7 +230,10 @@ struct EngineOf final : EngineIface {
 // Session state
 // ---------------------------------------------------------------------------
 
-enum class SessionState : std::uint8_t { Streaming, Finished, Poisoned };
+// Lost: a restore was refused after it had replaced part of the state.
+enum class SessionState : std::uint8_t { Streaming, Finished, Poisoned, Lost };
+
+constexpr const char* kLostState = "session state lost to a refused restore";
 
 struct SessionImpl {
   icg_config cfg{};
@@ -471,6 +476,7 @@ int icg_session_push(icg_session* session, const double* ecg_mv,
     return set_error(ICG_ERR_NULL_ARG, "sample pointer is NULL");
   if (s->state == SessionState::Poisoned)
     return set_error(ICG_ERR_BEAT_BACKLOG, "session poisoned by an earlier overflow");
+  if (s->state == SessionState::Lost) return set_error(ICG_ERR_BAD_STATE, kLostState);
   if (s->state != SessionState::Streaming)
     return set_error(ICG_ERR_BAD_STATE, "push after finish");
   if (len > s->cfg.max_chunk)
@@ -489,6 +495,7 @@ int icg_session_finish(icg_session* session) {
   if (s == nullptr) return set_error(ICG_ERR_BAD_HANDLE, "stale or destroyed handle");
   if (s->state == SessionState::Poisoned)
     return set_error(ICG_ERR_BEAT_BACKLOG, "session poisoned by an earlier overflow");
+  if (s->state == SessionState::Lost) return set_error(ICG_ERR_BAD_STATE, kLostState);
   if (s->state != SessionState::Streaming)
     return set_error(ICG_ERR_BAD_STATE, "finish called twice");
   return guarded([&]() -> int {
@@ -538,6 +545,10 @@ uint32_t icg_session_checkpoint_size(icg_session* session) {
     set_error(ICG_ERR_BAD_HANDLE, "stale or destroyed handle");
     return 0;
   }
+  if (s->state == SessionState::Lost) {
+    set_error(ICG_ERR_BAD_STATE, kLostState);
+    return 0;
+  }
   const int rc = guarded([&]() -> int {
     s->engine->checkpoint_into(s->blob);
     return ICG_OK;
@@ -552,6 +563,7 @@ int icg_session_checkpoint(icg_session* session, uint8_t* buf, uint32_t cap,
   if (s == nullptr) return set_error(ICG_ERR_BAD_HANDLE, "stale or destroyed handle");
   if (buf == nullptr || written == nullptr)
     return set_error(ICG_ERR_NULL_ARG, "buf/written is NULL");
+  if (s->state == SessionState::Lost) return set_error(ICG_ERR_BAD_STATE, kLostState);
   return guarded([&]() -> int {
     s->engine->checkpoint_into(s->blob);
     *written = static_cast<uint32_t>(s->blob.size());
@@ -567,23 +579,18 @@ int icg_session_restore(icg_session* session, const uint8_t* blob, uint32_t len)
   SessionImpl* s = decode_handle(session);
   if (s == nullptr) return set_error(ICG_ERR_BAD_HANDLE, "stale or destroyed handle");
   if (blob == nullptr) return set_error(ICG_ERR_NULL_ARG, "blob is NULL");
-  // Checked pre-validation of the whole frame (magic, version, section
-  // bounds, CRCs) and the blob's recorded configuration, *before* any
-  // loader runs. In the embedded profile this is what turns a corrupt,
-  // truncated, or wrong-backend blob into ICG_ERR_BAD_CHECKPOINT — the
-  // no-exceptions core below can only panic on it — and it runs in the
-  // hosted build too so the same path stays test-covered.
-  if (!s->engine->restore_compatible(std::span<const std::uint8_t>(blob, len)))
-    return set_error(ICG_ERR_BAD_CHECKPOINT,
-                     "corrupt, truncated, or configuration-mismatched blob");
+  const std::span<const std::uint8_t> bytes(blob, len);
   return guarded([&]() -> int {
-#if !defined(ICGKIT_CAPI_MINIMAL)
-    // Samples pushed after a restore no longer follow from the recorded
-    // state, so an active flight recording is finalized (as stopped,
-    // not finished) before the jump.
-    s->engine->record_stop();
-#endif
-    s->engine->restore(std::span<const std::uint8_t>(blob, len));
+    // A blob with a bad frame or configuration touches nothing; one
+    // refused past this check has replaced part of the state: Lost.
+    if (!s->engine->restore_compatible(bytes))
+      return set_error(ICG_ERR_BAD_CHECKPOINT,
+                       "corrupt, truncated, or configuration-mismatched blob");
+    std::string why;
+    if (!s->engine->try_restore(bytes, why)) {
+      s->state = SessionState::Lost;
+      return set_error(ICG_ERR_BAD_CHECKPOINT, CheckpointError(why).what());
+    }
     // A restored session resumes the source's stream: pollable from a
     // clean queue, accepting pushes again.
     s->queue_head = 0;

@@ -82,7 +82,8 @@ typedef enum icg_status {
    * ...). */
   ICG_ERR_BAD_CONFIG = -4,
   /* The operation is illegal in the session's current state (push
-   * after finish, finish twice, ...). */
+   * after finish, finish twice, push, finish or checkpoint after a
+   * restore whose payload was refused, ...). */
   ICG_ERR_BAD_STATE = -5,
   /* Push length exceeds icg_config.max_chunk. */
   ICG_ERR_CHUNK_TOO_LARGE = -6,
@@ -92,10 +93,9 @@ typedef enum icg_status {
    * returning this code. */
   ICG_ERR_BEAT_BACKLOG = -7,
   /* Checkpoint blob rejected: corrupt frame, truncated, version or
-   * configuration mismatch — including a blob saved by the other
-   * numeric backend. The session keeps its pre-call state only in the
-   * sense that no undefined behaviour occurred; after a failed restore
-   * the engine state is unspecified, so discard the session. */
+   * configuration mismatch (including a blob saved by the other
+   * numeric backend), or a payload the engine's loaders refuse. See
+   * icg_session_restore for the state a refused session is left in. */
   ICG_ERR_BAD_CHECKPOINT = -8,
   /* Caller-provided buffer too small; required size is reported where
    * the function documents it. */
@@ -255,7 +255,8 @@ int icg_session_quality(icg_session* session, icg_quality_summary* summary);
 /* ------------------------------------------------------------------ */
 
 /* Exact byte size of the blob icg_session_checkpoint would write right
- * now. Returns 0 on error (bad handle / internal failure). */
+ * now. Returns 0 on error (bad handle, a session whose state a refused
+ * restore lost, internal failure). */
 uint32_t icg_session_checkpoint_size(icg_session* session);
 
 /* Serializes the session's full carried state into buf (capacity
@@ -268,11 +269,19 @@ int icg_session_checkpoint(icg_session* session, uint8_t* buf, uint32_t cap,
 
 /* Restores a checkpoint blob into this session. The session must have
  * been created with the same configuration (backend, sample rate,
- * window, ensemble stage) as the blob's source; any mismatch or
- * corruption returns ICG_ERR_BAD_CHECKPOINT (after which the session
- * should be discarded). Resuming the stream after a successful restore
- * continues the beat sequence byte-identically to the uninterrupted
- * run. */
+ * window, ensemble stage) as the blob's source. Any refusal returns
+ * ICG_ERR_BAD_CHECKPOINT, never an abort, in either of two states:
+ *  - a blob whose frame (magic, version, section bounds, CRCs) or
+ *    recorded configuration is wrong is refused before anything is
+ *    touched: the session streams on and any recording keeps running;
+ *  - a blob that passes those checks but whose payload a loader
+ *    refuses has already replaced part of the state: push, finish and
+ *    checkpoint then return ICG_ERR_BAD_STATE (so the half-loaded
+ *    state cannot be saved and carried on) until a restore succeeds.
+ * Past the first check an active flight recording is finalized as
+ * stopped, the way icg_session_finish finalizes it as finished.
+ * Resuming the stream after a successful restore continues the beat
+ * sequence byte-identically to the uninterrupted run. */
 int icg_session_restore(icg_session* session, const uint8_t* blob,
                         uint32_t len);
 
@@ -293,7 +302,7 @@ int icg_session_destroy(icg_session* session);
  * checkpoint_interval_samples sets the periodic checkpoint cadence in
  * samples; 0 selects the library default. icg_session_finish finalizes
  * an active recording automatically (writes the end marker and closes
- * the file); icg_session_restore stops an active recording first, since
+ * the file); so does icg_session_restore, marking it stopped, since
  * samples pushed after a restore no longer follow from the recorded
  * state. Returns ICG_OK, ICG_ERR_BAD_STATE (already recording, or after
  * finish), or ICG_ERR_BAD_CHECKPOINT (file cannot be created/written).
@@ -319,8 +328,9 @@ int icg_session_record_start_mem(icg_session* session,
 
 /* Stops an in-memory recording and copies the finished .icgr bytes
  * into buf (capacity `cap`), writing the byte count to *written. If
- * icg_session_finish already finalized the recording, the bytes remain
- * retrievable here exactly once. On ICG_ERR_BUFFER_TOO_SMALL, *written
+ * icg_session_finish or icg_session_restore already finalized the
+ * recording, the bytes remain retrievable here exactly once (a restore
+ * marks the record stopped). On ICG_ERR_BUFFER_TOO_SMALL, *written
  * receives the required size and the recording stays retrievable.
  * Returns ICG_ERR_BAD_STATE when no in-memory recording exists. */
 int icg_session_record_stop_mem(icg_session* session, uint8_t* buf,

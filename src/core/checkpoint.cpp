@@ -138,62 +138,10 @@ std::uint32_t checkpoint_crc32(const std::uint8_t* data, std::size_t n) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-namespace {
-
-std::uint32_t le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t le64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-} // namespace
-
-CheckpointProbe probe_checkpoint(std::span<const std::uint8_t> blob) noexcept {
-  CheckpointProbe probe;
-  std::size_t pos = 0;
-
-  // Header: magic + version, exactly as StateReader's constructor.
-  if (blob.size() < 8) return probe;
-  if (le32(blob.data()) != kCheckpointMagic) return probe;
-  if (le32(blob.data() + 4) != kCheckpointVersion) return probe;
-  pos = 8;
-
-  // Section walk: every frame must carry a plausible tag, an in-bounds
-  // length, and a matching payload CRC — the same structural rules
-  // StateReader::begin_section enforces, minus the raising.
-  bool first = true;
-  while (pos < blob.size()) {
-    if (blob.size() - pos < 8) return probe;  // tag + length
-    const std::uint8_t* tag = blob.data() + pos;
-    const std::uint32_t len = le32(blob.data() + pos + 4);
-    pos += 8;
-    const std::size_t remaining = blob.size() - pos;
-    if (remaining < 4 || len > remaining - 4) return probe;  // payload + CRC
-    const std::uint8_t* payload = blob.data() + pos;
-    if (le32(payload + len) != checkpoint_crc32(payload, len)) return probe;
-
-    if (first) {
-      // The pipeline's leading "CFG " section: backend flag (u8), sample
-      // rate (f64), window length (u64), ensemble flag (bool byte).
-      if (std::memcmp(tag, "CFG ", 4) != 0) return probe;
-      if (len != 1 + 8 + 8 + 1) return probe;
-      if (payload[0] > 1 || payload[17] > 1) return probe;
-      probe.backend_fixed = payload[0] == 1;
-      probe.fs = std::bit_cast<double>(le64(payload + 1));
-      probe.window_samples = le64(payload + 9);
-      probe.ensemble = payload[17] == 1;
-      first = false;
-    }
-    pos += len + 4;
-  }
-  probe.valid = !first;  // at least the CFG section, nothing malformed
-  return probe;
+void StateReader::fail(std::string_view msg) {
+  if (!ok_) return;
+  ok_ = false;
+  error_ = msg;
 }
 
 } // namespace icgkit::core

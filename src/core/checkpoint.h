@@ -16,8 +16,8 @@
 // property the fleet's live migration and the round-trip fuzz CI job
 // pin down.
 //
-// Integrity rules (enforced by StateReader, which throws CheckpointError
-// — never UB — on violation):
+// Integrity rules (enforced by StateReader, which reports the first
+// violation by value — never raises, never UB — in every build):
 //   - magic and version must match exactly (a version-N reader refuses
 //     version-M blobs instead of guessing);
 //   - a section's tag, length and CRC are validated *before* any payload
@@ -31,7 +31,8 @@
 //     tag) are written alongside the state and re-validated by each
 //     loader against the restore target's construction-time shape, so a
 //     blob can only be restored into an engine built with the same
-//     configuration.
+//     configuration. A loader refuses through StateReader::fail() and
+//     returns at once, so no refused value is ever used.
 //
 // The writer/reader primitives are deliberately duck-typed targets: the
 // dsp/ecg streaming kernels serialize through `template <typename W>
@@ -50,6 +51,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -74,30 +76,6 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib crc32) of `n` bytes.
 std::uint32_t checkpoint_crc32(const std::uint8_t* data, std::size_t n);
-
-/// Result of probe_checkpoint(): the non-throwing structural verdict on
-/// a blob plus the construction parameters its leading "CFG " section
-/// carries (valid only when `valid` is true).
-struct CheckpointProbe {
-  /// Magic, version, and every section frame (tag, bounds, CRC) check
-  /// out, and the first section is a well-formed pipeline "CFG ".
-  bool valid = false;
-  bool backend_fixed = false;   ///< CFG: blob written by the Q31 backend
-  double fs = 0.0;              ///< CFG: source sample rate
-  std::uint64_t window_samples = 0;  ///< CFG: look-back window length
-  bool ensemble = false;        ///< CFG: ensemble stage present
-};
-
-/// Walks a pipeline checkpoint blob's entire frame — magic, version,
-/// every section's tag/length/CRC — and parses the leading "CFG "
-/// section, *without ever raising*: any violation just yields
-/// `valid == false`. This is the checked pre-validation the C ABI
-/// boundary runs before handing a blob to restore(), so that in the
-/// no-exceptions (firmware) profile a corrupt, truncated, or
-/// wrong-configuration blob is refused with an error code instead of
-/// reaching a StateReader panic.
-[[nodiscard]] CheckpointProbe probe_checkpoint(
-    std::span<const std::uint8_t> blob) noexcept;
 
 /// Serializes checkpoint state into the framed format above. Primitive
 /// puts append little-endian bytes to the current section; sections are
@@ -212,40 +190,54 @@ class StateWriter {
 /// Parses and validates a checkpoint blob. Construction checks the
 /// magic/version header; begin_section() validates the frame (tag,
 /// bounds, CRC) before any payload is readable; every primitive read is
-/// bounds-checked. All violations raise CheckpointError.
+/// bounds-checked. It never raises: the first violation, or the first
+/// refusal a loader reports through fail(), is kept (ok() turns false,
+/// error() holds the CheckpointError text). From then on every read
+/// returns zero (false, an empty span, a zero-filled array) and moves
+/// nothing, begin_section()/end_section() do nothing, and
+/// peek_tag()/at_end() return false.
 class StateReader {
  public:
   explicit StateReader(std::span<const std::uint8_t> blob) : blob_(blob) {
-    if (u32_at_cursor("magic") != kCheckpointMagic)
-      ICGKIT_THROW(CheckpointError("bad magic (not a checkpoint blob)"));
-    const std::uint32_t version = u32_at_cursor("version");
-    if (version != kCheckpointVersion)
-      ICGKIT_THROW(CheckpointError("unsupported format version " + std::to_string(version) +
-                            " (reader supports " + std::to_string(kCheckpointVersion) + ")"));
+    if (u32_at_cursor("magic") != kCheckpointMagic) {
+      fail("bad magic (not a checkpoint blob)");
+    } else if (const std::uint32_t version = u32_at_cursor("version");
+               version != kCheckpointVersion) {
+      fail("unsupported format version " + std::to_string(version) + " (reader supports " +
+           std::to_string(kCheckpointVersion) + ")");
+    }
   }
+
+  [[nodiscard]] bool ok() const { return ok_; }
+  /// The first violation's message; empty while ok().
+  [[nodiscard]] const std::string& error() const { return error_; }
+
+  /// Records a refusal unless one is already kept. A kernel loader whose
+  /// own check fails (ring capacity or kernel length differs from the
+  /// restore target's) returns at once: `if (bad) return r.fail("...");`.
+  /// Out of line, so the read paths that can refuse stay small.
+  void fail(std::string_view msg);
 
   /// Opens the next section, which must carry exactly `tag`; validates
   /// the frame and the payload CRC before returning.
   void begin_section(const char (&tag)[5]) {
-    if (in_section_) ICGKIT_THROW(CheckpointError(std::string("section '") + tag +
-                                           "' opened inside another"));
+    if (!ok_) return;
+    if (in_section_) return fail(std::string("section '") + tag + "' opened inside another");
     if (blob_.size() - pos_ < 8)
-      ICGKIT_THROW(CheckpointError(std::string("truncated before section '") + tag + "'"));
+      return fail(std::string("truncated before section '") + tag + "'");
     if (std::memcmp(blob_.data() + pos_, tag, 4) != 0)
-      ICGKIT_THROW(CheckpointError(std::string("expected section '") + tag + "', found '" +
-                            std::string(reinterpret_cast<const char*>(blob_.data() + pos_), 4) +
-                            "'"));
+      return fail(std::string("expected section '") + tag + "', found '" +
+                  std::string(reinterpret_cast<const char*>(blob_.data() + pos_), 4) + "'");
     pos_ += 4;
     const std::uint32_t len = u32_at_cursor("section length");
     // Subtraction form: `len + 4` could wrap where size_t is 32 bits,
     // letting a corrupted length field slip past the bounds check.
     const std::size_t remaining = blob_.size() - pos_;
     if (remaining < 4 || len > remaining - 4)
-      ICGKIT_THROW(CheckpointError(std::string("section '") + tag + "' truncated"));
-    const std::uint32_t stored = le32(blob_.data() + pos_ + len);
-    const std::uint32_t computed = checkpoint_crc32(blob_.data() + pos_, len);
-    if (stored != computed)
-      ICGKIT_THROW(CheckpointError(std::string("section '") + tag + "' CRC mismatch"));
+      return fail(std::string("section '") + tag + "' truncated");
+    const auto stored = static_cast<std::uint32_t>(le(blob_.data() + pos_ + len, 4));
+    if (stored != checkpoint_crc32(blob_.data() + pos_, len))
+      return fail(std::string("section '") + tag + "' CRC mismatch");
     section_end_ = pos_ + len;
     in_section_ = true;
   }
@@ -253,41 +245,38 @@ class StateReader {
   /// Closes the current section; the loader must have consumed exactly
   /// its payload (missing state is as fatal as trailing state).
   void end_section() {
-    if (!in_section_) ICGKIT_THROW(CheckpointError("end_section without a section"));
+    if (!ok_) return;
+    if (!in_section_) return fail("end_section without a section");
     if (pos_ != section_end_)
-      ICGKIT_THROW(CheckpointError("section not fully consumed (" +
-                            std::to_string(section_end_ - pos_) + " bytes left)"));
+      return fail("section not fully consumed (" + std::to_string(section_end_ - pos_) +
+                  " bytes left)");
     pos_ += 4;  // the validated CRC
     in_section_ = false;
   }
 
-  [[nodiscard]] bool at_end() const { return !in_section_ && pos_ == blob_.size(); }
+  [[nodiscard]] bool at_end() const { return ok_ && !in_section_ && pos_ == blob_.size(); }
 
   /// Copies the next section's 4-character tag into `out` (NUL-padded)
   /// without consuming it, so a reader of a heterogeneous stream (the
   /// flight-record file interleaves chunk and checkpoint sections) can
   /// dispatch before committing to begin_section(). Returns false at a
-  /// clean end of the blob; throws if bytes remain but too few for a
-  /// section header.
+  /// clean end of the blob and on a violation (one is recorded if bytes
+  /// remain but too few for a section header); ok() tells them apart.
   [[nodiscard]] bool peek_tag(char (&out)[5]) {
-    if (in_section_) ICGKIT_THROW(CheckpointError("peek_tag inside a section"));
-    if (pos_ == blob_.size()) return false;
-    if (blob_.size() - pos_ < 8)
-      ICGKIT_THROW(CheckpointError("truncated section header"));
+    if (!ok_ || pos_ == blob_.size()) return false;
+    if (in_section_ || blob_.size() - pos_ < 8) {
+      fail(in_section_ ? "peek_tag inside a section" : "truncated section header");
+      return false;
+    }
     std::memcpy(out, blob_.data() + pos_, 4);
     out[4] = '\0';
     return true;
   }
 
   // -- primitives --
-  std::uint8_t u8() { return take_bytes(1)[0]; }
-  std::uint32_t u32() { return le32(take_bytes(4)); }
-  std::uint64_t u64() {
-    const std::uint8_t* p = take_bytes(8);
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-    return v;
-  }
+  std::uint8_t u8() { return static_cast<std::uint8_t>(le(take_bytes(1), 1)); }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(le(take_bytes(4), 4)); }
+  std::uint64_t u64() { return le(take_bytes(8), 8); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() { return std::bit_cast<double>(u64()); }
@@ -295,16 +284,13 @@ class StateReader {
   /// StateWriter::f64_array): one memcpy on a little-endian host.
   void f64_array(double* out, std::size_t n) {
     if (n == 0) return;
-    const std::uint8_t* p = take_bytes(n * sizeof(double));
     if constexpr (std::endian::native == std::endian::little) {
-      std::memcpy(out, p, n * sizeof(double));
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t v = 0;
-        for (int b = 7; b >= 0; --b) v = (v << 8) | p[i * 8 + b];
-        out[i] = std::bit_cast<double>(v);
+      if (const std::uint8_t* p = take_bytes(n * sizeof(double))) {
+        std::memcpy(out, p, n * sizeof(double));
+        return;
       }
     }
+    for (std::size_t i = 0; i < n; ++i) out[i] = f64();  // zeros once refused
   }
   bool boolean() {
     const std::uint8_t v = u8();
@@ -315,7 +301,8 @@ class StateReader {
   /// counterpart of StateWriter::bytes). The span aliases the blob — it
   /// stays valid only as long as the blob the reader was built over.
   [[nodiscard]] std::span<const std::uint8_t> bytes(std::size_t n) {
-    return {take_bytes(n), n};
+    const std::uint8_t* p = take_bytes(n);
+    return {p, p != nullptr ? n : 0};
   }
 
   /// Typed read for backend-templated kernels (sample_t / acc_t) and
@@ -333,29 +320,37 @@ class StateReader {
   /// Bytes left in the current section — the bound loaders use to reject
   /// absurd element counts before allocating.
   [[nodiscard]] std::size_t section_remaining() const {
-    return in_section_ ? section_end_ - pos_ : 0;
+    return ok_ && in_section_ ? section_end_ - pos_ : 0;
   }
-
-  /// Semantic-mismatch escape hatch for kernel loaders (ring capacity or
-  /// kernel length differs from the restore target's construction).
-  [[noreturn]] void fail(const std::string& msg) const { ICGKIT_THROW(CheckpointError(msg)); }
 
  private:
-  static std::uint32_t le32(const std::uint8_t* p) {
-    return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) |
-           (static_cast<std::uint32_t>(p[3]) << 24);
-  }
-  std::uint32_t u32_at_cursor(const char* what) {
-    if (blob_.size() - pos_ < 4)
-      ICGKIT_THROW(CheckpointError(std::string("truncated reading ") + what));
-    const std::uint32_t v = le32(blob_.data() + pos_);
-    pos_ += 4;
+  /// The `n`-byte (n <= 8) little-endian integer at `p`; 0 for a
+  /// refused read.
+  static std::uint64_t le(const std::uint8_t* p, std::size_t n) {
+    std::uint64_t v = 0;
+    if (p == nullptr) return v;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, p, n);
+    } else {
+      while (n-- > 0) v = (v << 8) | p[n];
+    }
     return v;
   }
+  std::uint32_t u32_at_cursor(const char* what) {
+    if (blob_.size() - pos_ < 4) {
+      fail(std::string("truncated reading ") + what);
+      return 0;
+    }
+    pos_ += 4;
+    return static_cast<std::uint32_t>(le(blob_.data() + pos_ - 4, 4));
+  }
   const std::uint8_t* take_bytes(std::size_t n) {
+    if (!ok_) return nullptr;
     const std::size_t limit = in_section_ ? section_end_ : blob_.size();
-    if (limit - pos_ < n) fail("read past end of section");
+    if (limit - pos_ < n) [[unlikely]] {
+      fail("read past end of section");
+      return nullptr;
+    }
     const std::uint8_t* p = blob_.data() + pos_;
     pos_ += n;
     return p;
@@ -365,6 +360,8 @@ class StateReader {
   std::size_t pos_ = 0;
   std::size_t section_end_ = 0;
   bool in_section_ = false;
+  bool ok_ = true;
+  std::string error_;
 };
 
 /// StateWriter fan-out for batched kernels: uniform fields (counters,

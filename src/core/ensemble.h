@@ -68,9 +68,9 @@ class EnsembleAverager {
 
   template <typename R>
   void load_state(R& r) {
-    if (r.u64() != len_samples_) r.fail("EnsembleAverager: segment length mismatch");
+    if (r.u64() != len_samples_) return r.fail("EnsembleAverager: segment length mismatch");
     const std::size_t n = r.u64();
-    if (n > cfg_.window_beats) r.fail("EnsembleAverager: beat window overflow");
+    if (n > cfg_.window_beats) return r.fail("EnsembleAverager: beat window overflow");
     window_.clear();
     for (std::size_t i = 0; i < n; ++i) {
       dsp::Signal beat(len_samples_);

@@ -286,7 +286,6 @@ void SessionManager::do_start_recording(std::uint32_t session,
   // The fields below are published to the worker by the work-queue push
   // inside enqueue_item (SPSC release/acquire), read there, and not
   // touched again by the pilot until the stop/finish acknowledgement.
-  rcfg.window_s = cfg_.window_s;
   s.recorder_cfg = rcfg;
   s.recorder_sink = std::move(sink);
   s.record_ack.store(false, std::memory_order_relaxed);

@@ -73,24 +73,17 @@ void FlightRecorder::flush_scratch(StateWriter&& w) {
   bytes_ += scratch_.size();
 }
 
-void FlightRecorder::begin(std::uint64_t start_samples) {
-  const CheckpointProbe probe = probe_checkpoint(ckpt_blob_);
-  if (!probe.valid)
-    ICGKIT_THROW(CheckpointError("flight recorder: initial checkpoint is invalid"));
-  const auto expect_window = static_cast<std::uint64_t>(
-      std::max(4.0, cfg_.window_s) * probe.fs);
-  if (expect_window != probe.window_samples)
-    ICGKIT_THROW(CheckpointError(
-        "flight recorder: window_s does not match the recorded pipeline"));
-
+void FlightRecorder::begin(bool backend_fixed, double fs, double window_s,
+                           std::uint64_t window_samples, bool ensemble,
+                           std::uint64_t start_samples) {
   StateWriter w(std::move(scratch_));  // with magic/version header
   w.begin_section("RHDR");
   w.u32(kFlightVersion);
-  w.u8(probe.backend_fixed ? 1 : 0);
-  w.f64(probe.fs);
-  w.f64(cfg_.window_s);
-  w.u64(probe.window_samples);
-  w.boolean(probe.ensemble);
+  w.u8(backend_fixed ? 1 : 0);
+  w.f64(fs);
+  w.f64(window_s);
+  w.u64(window_samples);
+  w.boolean(ensemble);
   w.u64(cfg_.checkpoint_interval);
   w.u64(start_samples);
   w.u64(cfg_.seed);
@@ -172,25 +165,42 @@ void FlightRecorder::record_end(std::span<const BeatRecord> tail,
 // FlightReader
 
 FlightReader::FlightReader(std::span<const std::uint8_t> file) : r_(file) {
+  read_header();
+  raise_if_refused();
+}
+
+bool FlightReader::next(Event& ev) {
+  char tag[5];
+  const bool more = r_.peek_tag(tag);
+  if (more) read_section(tag, ev);
+  raise_if_refused();
+  return more;
+}
+
+void FlightReader::raise_if_refused() const {
+  if (!r_.ok()) ICGKIT_THROW(CheckpointError(r_.error()));
+}
+
+void FlightReader::read_header() {
   r_.begin_section("RHDR");
   header_.flight_version = r_.u32();
   if (header_.flight_version != kFlightVersion)
-    r_.fail("unsupported flight-record version " +
-            std::to_string(header_.flight_version) + " (reader supports " +
-            std::to_string(kFlightVersion) + ")");
+    return r_.fail("unsupported flight-record version " +
+                   std::to_string(header_.flight_version) + " (reader supports " +
+                   std::to_string(kFlightVersion) + ")");
   const std::uint8_t backend = r_.u8();
-  if (backend > 1) r_.fail("flight record: bad backend tag");
+  if (backend > 1) return r_.fail("flight record: bad backend tag");
   header_.backend_fixed = backend == 1;
   header_.fs = r_.f64();
   if (!(header_.fs > 0.0) || !(header_.fs <= 1e6))
-    r_.fail("flight record: implausible sample rate");
+    return r_.fail("flight record: implausible sample rate");
   header_.window_s = r_.f64();
   header_.window_samples = r_.u64();
   if (header_.window_samples !=
       static_cast<std::uint64_t>(std::max(4.0, header_.window_s) * header_.fs))
-    r_.fail("flight record: window fields disagree");
+    return r_.fail("flight record: window fields disagree");
   if (header_.window_samples > (1u << 27))
-    r_.fail("flight record: implausible window length");
+    return r_.fail("flight record: implausible window length");
   header_.ensemble = r_.boolean();
   header_.checkpoint_interval = r_.u64();
   header_.start_samples = r_.u64();
@@ -199,17 +209,15 @@ FlightReader::FlightReader(std::span<const std::uint8_t> file) : r_(file) {
   header_.subject = r_.u64();
   const std::uint32_t note_len = r_.u32();
   if (note_len > r_.section_remaining())
-    r_.fail("flight record: note overruns its section");
+    return r_.fail("flight record: note overruns its section");
   const auto note = r_.bytes(note_len);
   header_.note.assign(reinterpret_cast<const char*>(note.data()), note.size());
   r_.end_section();
 }
 
-bool FlightReader::next(Event& ev) {
-  char tag[5];
-  if (!r_.peek_tag(tag)) return false;
+void FlightReader::read_section(const char (&tag)[5], Event& ev) {
   if (saw_end_)
-    r_.fail(std::string("flight record: section '") + tag + "' after FINI");
+    return r_.fail(std::string("flight record: section '") + tag + "' after FINI");
 
   if (std::memcmp(tag, "CKPT", 4) == 0) {
     ev.kind = EventKind::Checkpoint;
@@ -217,10 +225,9 @@ bool FlightReader::next(Event& ev) {
     ev.samples = r_.u64();
     const std::uint32_t len = r_.u32();
     if (len > r_.section_remaining())
-      r_.fail("flight record: checkpoint blob overruns its section");
+      return r_.fail("flight record: checkpoint blob overruns its section");
     ev.state = r_.bytes(len);
-    r_.end_section();
-    return true;
+    return r_.end_section();
   }
 
   if (std::memcmp(tag, "CHNK", 4) == 0) {
@@ -228,23 +235,22 @@ bool FlightReader::next(Event& ev) {
     r_.begin_section("CHNK");
     ev.chunk_index = r_.u64();
     if (ev.chunk_index != expect_chunk_)
-      r_.fail("flight record: chunk out of order");
+      return r_.fail("flight record: chunk out of order");
     ++expect_chunk_;
     const std::uint32_t n = r_.u32();
     if (r_.section_remaining() < 16u * static_cast<std::size_t>(n) + 4u)
-      r_.fail("flight record: chunk sample count overruns its section");
+      return r_.fail("flight record: chunk sample count overruns its section");
     ev.ecg.resize(n);
     ev.z.resize(n);
     r_.f64_array(ev.ecg.data(), n);
     r_.f64_array(ev.z.data(), n);
     const std::uint32_t beat_len = r_.u32();
     if (beat_len > r_.section_remaining())
-      r_.fail("flight record: beat bytes overrun their section");
+      return r_.fail("flight record: beat bytes overrun their section");
     if (beat_len % beat_record_bytes() != 0)
-      r_.fail("flight record: beat byte length is not a whole record count");
+      return r_.fail("flight record: beat byte length is not a whole record count");
     ev.beat_bytes = r_.bytes(beat_len);
-    r_.end_section();
-    return true;
+    return r_.end_section();
   }
 
   if (std::memcmp(tag, "FINI", 4) == 0) {
@@ -253,18 +259,18 @@ bool FlightReader::next(Event& ev) {
     ev.finished = r_.boolean();
     const std::uint32_t tail_len = r_.u32();
     if (tail_len > r_.section_remaining())
-      r_.fail("flight record: tail bytes overrun their section");
+      return r_.fail("flight record: tail bytes overrun their section");
     if (tail_len % beat_record_bytes() != 0)
-      r_.fail("flight record: tail byte length is not a whole record count");
+      return r_.fail("flight record: tail byte length is not a whole record count");
     ev.beat_bytes = r_.bytes(tail_len);
     ev.summary.load_state(r_);
     ev.samples = r_.u64();
     ev.total_chunks = r_.u64();
     if (ev.total_chunks != expect_chunk_)
-      r_.fail("flight record: FINI chunk count disagrees with the stream");
+      return r_.fail("flight record: FINI chunk count disagrees with the stream");
     r_.end_section();
     saw_end_ = true;
-    return true;
+    return;
   }
 
   r_.fail(std::string("flight record: unknown section '") + tag + "'");
@@ -522,12 +528,6 @@ FlightCompareReport flight_compare(std::span<const std::uint8_t> a,
 }
 
 FlightProbe probe_flight(std::span<const std::uint8_t> file) noexcept {
-#if defined(ICGKIT_NO_EXCEPTIONS)
-  // The flight recorder is a hosted-tools subsystem; it is not compiled
-  // into the firmware profile, where refusal happens at probe_checkpoint.
-  (void)file;
-  return {};
-#else
   FlightProbe p;
   try {
     FlightReader rd(file);
@@ -560,7 +560,6 @@ FlightProbe probe_flight(std::span<const std::uint8_t> file) noexcept {
     p = FlightProbe{};
   }
   return p;
-#endif
 }
 
 } // namespace icgkit::core

@@ -70,14 +70,12 @@ inline constexpr std::uint64_t kFlightCheckpointInterval = 50'000;
 /// Recording parameters + seed provenance carried in the RHDR section.
 /// The provenance fields are opaque to replay (they document how the
 /// input stream was synthesized, for humans and the fuzz corpus); only
-/// `checkpoint_interval` and `window_s` affect the recorder itself.
+/// `checkpoint_interval` affects the recorder itself. Backend, sample
+/// rate, window and ensemble flag come from the recorded engine.
 struct FlightRecorderConfig {
   /// Samples between periodic CKPT sections; 0 disables periodic
   /// checkpoints (the initial one is always written).
   std::uint64_t checkpoint_interval = kFlightCheckpointInterval;
-  /// Must match the recorded pipeline's construction window (validated
-  /// against the initial checkpoint's CFG section at record start).
-  double window_s = 12.0;
   std::uint64_t seed = 0;    ///< provenance: synthesis / scenario seed
   std::int32_t tier = -1;    ///< provenance: scenario tier (-1 = n/a)
   std::uint64_t subject = 0; ///< provenance: roster subject index
@@ -177,7 +175,8 @@ class FlightRecorder {
                  const FlightRecorderConfig& cfg = {})
       : sink_(sink), cfg_(cfg) {
     engine.checkpoint_into(ckpt_blob_);
-    begin(engine.samples_consumed());
+    begin(Pipeline::kFixed, engine.sample_rate(), engine.window_s(), engine.window_samples(),
+          engine.config().enable_ensemble, engine.samples_consumed());
   }
 
   FlightRecorder(const FlightRecorder&) = delete;
@@ -222,7 +221,10 @@ class FlightRecorder {
   [[nodiscard]] std::uint64_t bytes_written() const { return bytes_; }
 
  private:
-  void begin(std::uint64_t start_samples);
+  /// Writes the RHDR from the engine's construction and this recorder's
+  /// config, then the initial checkpoint.
+  void begin(bool backend_fixed, double fs, double window_s, std::uint64_t window_samples,
+             bool ensemble, std::uint64_t start_samples);
   void record_chunk(dsp::SignalView ecg_mv, dsp::SignalView z_ohm,
                     std::span<const BeatRecord> emitted);
   void record_checkpoint(std::uint64_t samples);
@@ -279,6 +281,12 @@ class FlightReader {
   bool next(Event& ev);
 
  private:
+  // Parse one section each, refusing through r_.fail(); the public
+  // members raise the reader's first refusal as CheckpointError.
+  void read_header();
+  void read_section(const char (&tag)[5], Event& ev);
+  void raise_if_refused() const;
+
   StateReader r_;
   FlightHeader header_;
   std::uint64_t expect_chunk_ = 0;
@@ -365,9 +373,10 @@ struct FlightCompareReport {
 [[nodiscard]] FlightCompareReport flight_compare(std::span<const std::uint8_t> a,
                                                  std::span<const std::uint8_t> b);
 
-/// Non-throwing structural probe of a flight record (the C ABI boundary
-/// check, mirroring probe_checkpoint): walks every frame, the RHDR, and
-/// each section's internal layout; any violation yields valid == false.
+/// Non-throwing structural probe of a flight record (the C ABI's
+/// icg_flight_probe): walks every frame, the RHDR, and each section's
+/// internal layout through FlightReader; any violation yields
+/// valid == false.
 struct FlightProbe {
   bool valid = false;
   FlightHeader header{};

@@ -335,7 +335,7 @@ class BeatAssembler {
   template <typename R>
   void load_ensb_body(R& r) {
     if (r.boolean() != ensemble_.has_value())
-      r.fail("StreamingBeatPipeline: ensemble-stage layout mismatch");
+      return r.fail("StreamingBeatPipeline: ensemble-stage layout mismatch");
     if (ensemble_.has_value()) {
       ensemble_->load_state(r);
       ens_pending_.load_state(r, "StreamingBeatPipeline ensemble queue");
@@ -359,9 +359,9 @@ class BeatAssembler {
   static void load_pair_ring(R& r,
                              dsp::RingBuffer<std::pair<std::size_t, std::size_t>>& ring) {
     if (r.u64() != ring.capacity())
-      r.fail("StreamingBeatPipeline: pair-ring capacity mismatch");
+      return r.fail("StreamingBeatPipeline: pair-ring capacity mismatch");
     const std::size_t n = r.u64();
-    if (n > ring.capacity()) r.fail("StreamingBeatPipeline: pair-ring overflow");
+    if (n > ring.capacity()) return r.fail("StreamingBeatPipeline: pair-ring overflow");
     ring.clear();
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t a = r.u64();
@@ -715,11 +715,12 @@ class BasicStreamingBeatPipeline {
  public:
   using sample_t = typename B::sample_t;
   static constexpr std::size_t kLanes = B::kLanes;
+  static constexpr bool kFixed = B::kFixed;  ///< the Q31 backend
 
   BasicStreamingBeatPipeline(dsp::SampleRate fs, const PipelineConfig& cfg = {},
                              double window_s = 12.0,
                              const dsp::Q31ScalingPolicy& scaling = {})
-      : fs_(fs), cfg_(cfg),
+      : fs_(fs), cfg_(cfg), window_s_(window_s),
         window_samples_(static_cast<std::size_t>(std::max(4.0, window_s) * fs)),
         ecg_scale_(B::kFixed ? scaling.ecg_fullscale_mv : 1.0),
         z_scale_(B::kFixed ? scaling.z_fullscale_ohm : 1.0),
@@ -816,6 +817,11 @@ class BasicStreamingBeatPipeline {
   [[nodiscard]] std::size_t r_peak_count() const requires(kLanes == 1) {
     return assemblers_[0].r_peak_count();
   }
+  [[nodiscard]] dsp::SampleRate sample_rate() const { return fs_; }
+  [[nodiscard]] const PipelineConfig& config() const { return cfg_; }
+  /// The look-back window as constructed, in seconds; window_samples()
+  /// is max(4, window_s()) * fs.
+  [[nodiscard]] double window_s() const { return window_s_; }
   [[nodiscard]] std::size_t window_samples() const { return window_samples_; }
   /// Running mean of the impedance trace consumed so far.
   [[nodiscard]] double z_mean_ohm() const requires(kLanes == 1) {
@@ -897,19 +903,11 @@ class BasicStreamingBeatPipeline {
 
   /// Restores the session from `r`, mirroring save_state. The target
   /// must have been constructed with the same configuration (backend,
-  /// sample rate, window, stage layout); any disagreement throws
-  /// CheckpointError and leaves the pipeline in an unspecified state —
-  /// discard it.
-  template <typename R>
-  void load_state(R& r) requires(kLanes == 1) {
-    r.begin_section("CFG ");
-    if (r.u8() != (B::kFixed ? 1 : 0))
-      r.fail("StreamingBeatPipeline: numeric-backend mismatch");
-    if (r.f64() != fs_) r.fail("StreamingBeatPipeline: sample-rate mismatch");
-    if (r.u64() != window_samples_) r.fail("StreamingBeatPipeline: window mismatch");
-    if (r.boolean() != cfg_.enable_ensemble)
-      r.fail("StreamingBeatPipeline: ensemble-stage mismatch");
-    r.end_section();
+  /// sample rate, window, stage layout); any disagreement or corruption
+  /// is recorded in `r` (r.ok() turns false) and leaves the pipeline in
+  /// an unspecified state until a load succeeds.
+  void load_state(StateReader& r) requires(kLanes == 1) {
+    load_config(r);
 
     r.begin_section("ECGC");
     ecg_stage_.load_state(r);
@@ -960,36 +958,63 @@ class BasicStreamingBeatPipeline {
     return blob;
   }
 
-  /// Non-throwing pre-check for restore(): true iff `blob` is
-  /// structurally intact (magic, version, every section frame and CRC)
-  /// and its CFG section matches this pipeline's construction (backend,
-  /// sample rate, window, ensemble stage). The C ABI boundary runs this
-  /// before restore() so a corrupt or mismatched blob is refused with an
-  /// error code even in the no-exceptions firmware profile, where
-  /// restore() itself can only panic.
-  [[nodiscard]] bool restore_compatible(std::span<const std::uint8_t> blob) const noexcept
+  /// Whether `blob` can be restored here, checked without touching any
+  /// state: its CFG matches this pipeline's construction (load_state's
+  /// check) and every later section's frame (tag, bounds, CRC) is
+  /// intact. A loader can still refuse a payload past this check.
+  [[nodiscard]] bool restore_compatible(std::span<const std::uint8_t> blob) const
     requires(kLanes == 1)
   {
-    const CheckpointProbe p = probe_checkpoint(blob);
-    return p.valid && p.backend_fixed == B::kFixed && p.fs == fs_ &&
-           p.window_samples == window_samples_ &&
-           p.ensemble == cfg_.enable_ensemble;
+    StateReader r(blob);
+    load_config(r);
+    char tag[5];
+    while (r.peek_tag(tag)) {
+      r.begin_section(tag);
+      (void)r.bytes(r.section_remaining());
+      r.end_section();
+    }
+    return r.ok();
   }
 
   /// Restores a checkpoint() blob into this pipeline (same-configuration
-  /// target; see load_state). Throws CheckpointError on any corruption,
-  /// truncation, version or configuration mismatch.
-  void restore(std::span<const std::uint8_t> blob) requires(kLanes == 1) {
+  /// target; see load_state) without raising. On any refusal returns
+  /// false with the reader's message in `why`; the state is then
+  /// unspecified (part of the blob may be loaded) until a restore
+  /// succeeds.
+  [[nodiscard]] bool try_restore(std::span<const std::uint8_t> blob, std::string& why)
+    requires(kLanes == 1)
+  {
     StateReader r(blob);
     load_state(r);
-    if (!r.at_end())
-      ICGKIT_THROW(CheckpointError("StreamingBeatPipeline: trailing bytes after final section"));
+    if (!r.at_end()) r.fail("StreamingBeatPipeline: trailing bytes after final section");
+    if (!r.ok()) why = r.error();
+    return r.ok();
+  }
+
+  /// try_restore() that raises its refusal as CheckpointError.
+  void restore(std::span<const std::uint8_t> blob) requires(kLanes == 1) {
+    std::string why;
+    if (!try_restore(blob, why)) ICGKIT_THROW(CheckpointError(why));
   }
 
  private:
   using L = typename B::lane_backend;  ///< one lane's (scalar) backend
   using lane_t = typename L::sample_t;
   using Assembler = BeatAssembler<L>;
+
+  /// Reads the CFG section and refuses, through r.fail(), a blob whose
+  /// recorded construction differs from this pipeline's: the one CFG
+  /// check load_state and restore_compatible share.
+  void load_config(StateReader& r) const {
+    r.begin_section("CFG ");
+    if (r.u8() != (B::kFixed ? 1 : 0))
+      return r.fail("StreamingBeatPipeline: numeric-backend mismatch");
+    if (r.f64() != fs_) return r.fail("StreamingBeatPipeline: sample-rate mismatch");
+    if (r.u64() != window_samples_) return r.fail("StreamingBeatPipeline: window mismatch");
+    if (r.boolean() != cfg_.enable_ensemble)
+      return r.fail("StreamingBeatPipeline: ensemble-stage mismatch");
+    r.end_section();
+  }
 
   /// The input-staging step for sample i of every lane: Q31 quantizes
   /// it exactly once against the stage full scale (the ADC boundary),
@@ -1010,6 +1035,7 @@ class BasicStreamingBeatPipeline {
 
   dsp::SampleRate fs_;
   PipelineConfig cfg_;
+  double window_s_;
   std::size_t window_samples_;
   double ecg_scale_, z_scale_, icg_scale_; ///< per-stage Q31 full scales (1 for double)
 

@@ -98,7 +98,7 @@ class BasicEcgCleanerStage {
 
   template <typename R>
   void load_state(R& r) {
-    if (!r.boolean() || !r.boolean()) r.fail("EcgCleanerStage: sub-stage missing");
+    if (!r.boolean() || !r.boolean()) return r.fail("EcgCleanerStage: sub-stage missing");
     morph_.load_state(r);
     fir_.load_state(r);
   }
@@ -211,7 +211,7 @@ class BasicIcgConditionerStage {
   template <typename R>
   void load_state(R& r) {
     lp_.load_state(r);
-    if (!r.boolean()) r.fail("IcgConditionerStage: baseline high-pass missing");
+    if (!r.boolean()) return r.fail("IcgConditionerStage: baseline high-pass missing");
     hp_.load_state(r);
     prev_[0] = r.template value<sample_t>();
     prev_[1] = r.template value<sample_t>();

@@ -230,20 +230,20 @@ class BasicStreamingZeroPhaseFir {
   template <typename R>
   void load_state(R& r) {
     const std::size_t len = kernel_.taps.size();
-    if (r.u64() != len) r.fail("StreamingZeroPhaseFir: kernel length mismatch");
+    if (r.u64() != len) return r.fail("StreamingZeroPhaseFir: kernel length mismatch");
     // The slots land in the upper half; once the head names the oldest
     // slot they are rotated into the window [0, len).
     sample_t* slots = line_.data() + len;
     for (std::size_t i = 0; i < len; ++i) slots[i] = r.template value<sample_t>();
     const std::size_t head = r.u64();
-    if (head >= len) r.fail("StreamingZeroPhaseFir: head index out of range");
+    if (head >= len) return r.fail("StreamingZeroPhaseFir: head index out of range");
     for (std::size_t k = 0; k < len; ++k)
       line_[k] = slots[k < len - head ? head + k : head + k - len];
     pos_ = len;
     fed_ = r.u64();
     raw_count_ = r.u64();
     const std::size_t warm_n = r.u64();
-    if (warm_n > half_ + 1) r.fail("StreamingZeroPhaseFir: warm-up buffer overflow");
+    if (warm_n > half_ + 1) return r.fail("StreamingZeroPhaseFir: warm-up buffer overflow");
     warmup_.clear();
     warmup_.reserve(warm_n);
     for (std::size_t i = 0; i < warm_n; ++i)

@@ -110,9 +110,9 @@ class BasicStreamingExtremum {
 
   template <typename R>
   void load_state(R& r) {
-    if (r.u64() != dq_.capacity()) r.fail("StreamingExtremum: width mismatch");
+    if (r.u64() != dq_.capacity()) return r.fail("StreamingExtremum: width mismatch");
     const std::size_t n = r.u64();
-    if (n > dq_.capacity()) r.fail("StreamingExtremum: deque overflow");
+    if (n > dq_.capacity()) return r.fail("StreamingExtremum: deque overflow");
     dq_.clear();
     for (std::size_t i = 0; i < n; ++i) {
       Entry e;

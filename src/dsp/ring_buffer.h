@@ -118,9 +118,9 @@ class RingBuffer {
   template <typename R>
   void load_state(R& r, const char* what) {
     if (r.u64() != buf_.size())
-      r.fail(std::string(what) + ": ring capacity mismatch");
+      return r.fail(std::string(what) + ": ring capacity mismatch");
     const std::size_t n = r.u64();
-    if (n > buf_.size()) r.fail(std::string(what) + ": ring overflow");
+    if (n > buf_.size()) return r.fail(std::string(what) + ": ring overflow");
     clear();
     for (std::size_t i = 0; i < n; ++i) push(r.template value<T>());
   }

@@ -113,7 +113,7 @@ class BasicStreamingZeroPhaseHighpass {
 
   template <typename R>
   void load_state(R& r) {
-    if (r.u64() != m_) r.fail("StreamingZeroPhaseHighpass: decimation mismatch");
+    if (r.u64() != m_) return r.fail("StreamingZeroPhaseHighpass: decimation mismatch");
     base_.load_state(r);
     raw_.load_state(r, "StreamingZeroPhaseHighpass");
     block_acc_ = r.template value<typename B::acc_t>();

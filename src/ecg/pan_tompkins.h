@@ -198,7 +198,7 @@ class QrsDecisionTail {
     load_optional(r, last_accepted_);
     last_accepted_slope_ = r.template value<sample_t>();
     const std::size_t rr_n = r.u64();
-    if (rr_n > 8) r.fail("OnlinePanTompkins: RR history overflow");
+    if (rr_n > 8) return r.fail("OnlinePanTompkins: RR history overflow");
     rr_history_.clear();
     for (std::size_t i = 0; i < rr_n; ++i) rr_history_.push_back(r.f64());
     load_index_vec(r, rejected_since_);
@@ -229,7 +229,7 @@ class QrsDecisionTail {
   static void load_index_vec(R& r, std::vector<std::size_t>& v) {
     const std::size_t n = r.u64();
     if (n > r.section_remaining() / 8)
-      r.fail("OnlinePanTompkins: candidate list longer than its section");
+      return r.fail("OnlinePanTompkins: candidate list longer than its section");
     v.clear();
     v.reserve(n);
     for (std::size_t i = 0; i < n; ++i) v.push_back(r.u64());

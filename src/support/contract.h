@@ -15,10 +15,10 @@
 // which reports and aborts. On an MCU a contract violation is a
 // programming error with no one to catch it — fail loudly at the fault,
 // not later from scribbled state. The C ABI keeps its error-code
-// contract either way: every *checked* failure path (bad arguments,
-// corrupt checkpoint frames validated before loading, oversized chunks)
-// is diagnosed by the boundary before reaching a raising core path, so
-// panic is reserved for genuine invariant breakage.
+// contract either way: bad arguments and oversized chunks are diagnosed
+// by the boundary before reaching a raising core path, and checkpoint
+// blobs are read by core::StateReader, which reports every violation by
+// value, so panic is reserved for genuine invariant breakage.
 //
 // Only the layers the embedded library compiles (dsp, ecg, the
 // streaming-core files, capi) must use ICGKIT_THROW; host-only layers

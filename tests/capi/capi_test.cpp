@@ -14,6 +14,7 @@
 //     checkpoint blobs interchange with the C++ API in both directions.
 #include "capi/icgkit.h"
 
+#include "common/restamp.h"
 #include "core/beat_serializer.h"
 #include "core/flight_recorder.h"
 #include "core/pipeline.h"
@@ -27,6 +28,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -328,6 +330,111 @@ TEST(CApiCheckpointTest, BufferTooSmallReportsRequiredSize) {
             ICG_ERR_BUFFER_TOO_SMALL);
   EXPECT_EQ(written, icg_session_checkpoint_size(s));
   EXPECT_EQ(icg_session_destroy(s), ICG_OK);
+}
+
+// Pushes rec[from, to) in kChunk pieces, draining the beat queue.
+void push_range(icg_session* s, const synth::Recording& rec, std::size_t from,
+                std::size_t to) {
+  icg_beat beat;
+  for (std::size_t off = from; off < to; off += kChunk) {
+    const auto len = static_cast<std::uint32_t>(std::min<std::size_t>(kChunk, to - off));
+    ASSERT_GE(icg_session_push(s, rec.ecg_mv.data() + off, rec.z_ohm.data() + off, len), 0)
+        << icg_last_error();
+    while (icg_session_poll_beat(s, &beat) == 1) {
+    }
+  }
+}
+
+std::vector<std::uint8_t> checkpoint_of(icg_session* s) {
+  std::vector<std::uint8_t> blob(icg_session_checkpoint_size(s));
+  std::uint32_t written = 0;
+  EXPECT_EQ(icg_session_checkpoint(s, blob.data(), static_cast<std::uint32_t>(blob.size()),
+                                   &written),
+            ICG_OK)
+      << icg_last_error();
+  blob.resize(written);
+  return blob;
+}
+
+int restore(icg_session* s, const std::vector<std::uint8_t>& blob) {
+  return icg_session_restore(s, blob.data(), static_cast<std::uint32_t>(blob.size()));
+}
+
+// A blob whose frame and CFG are intact but whose payload a loader
+// refuses (re-stamped CRC) has already replaced part of the session's
+// state when the refusal comes, so the session refuses push, finish and
+// checkpoint until a good restore brings it back.
+TEST(CApiCheckpointTest, RefusedPayloadLosesTheSessionUntilAGoodRestore) {
+  const auto rec = test_recording(20.0);
+  for (const std::uint32_t backend : {ICG_BACKEND_DOUBLE, ICG_BACKEND_Q31}) {
+    SCOPED_TRACE(backend == ICG_BACKEND_DOUBLE ? "double" : "q31");
+    const icg_config cfg = test_config(backend);
+    icg_session* s = icg_session_create(&cfg);
+    ASSERT_NE(s, nullptr) << icg_last_error();
+    push_range(s, rec, 0, 1500);
+    const std::vector<std::uint8_t> blob = checkpoint_of(s);
+    // The first ECGC presence byte cleared; the low byte of RING's first
+    // ring capacity flipped.
+    for (const auto& [tag, why] : {std::pair{"ECGC", "sub-stage missing"},
+                                   std::pair{"RING", "ring capacity mismatch"}}) {
+      SCOPED_TRACE(tag);
+      EXPECT_EQ(restore(s, test::restamped(blob, tag, 0, 0x01)), ICG_ERR_BAD_CHECKPOINT);
+      EXPECT_NE(std::strstr(icg_last_error(), why), nullptr) << icg_last_error();
+      EXPECT_EQ(icg_session_push(s, rec.ecg_mv.data(), rec.z_ohm.data(), 8), ICG_ERR_BAD_STATE);
+      EXPECT_EQ(icg_session_finish(s), ICG_ERR_BAD_STATE);
+      // Nor can the half-loaded state be saved and carried on elsewhere.
+      EXPECT_EQ(icg_session_checkpoint_size(s), 0u);
+      std::uint32_t written = 0;
+      std::vector<std::uint8_t> buf(blob.size());
+      EXPECT_EQ(icg_session_checkpoint(s, buf.data(), static_cast<std::uint32_t>(buf.size()),
+                                       &written),
+                ICG_ERR_BAD_STATE);
+      ASSERT_EQ(restore(s, blob), ICG_OK) << icg_last_error();
+      push_range(s, rec, 1500, 2000);
+    }
+    EXPECT_GE(icg_session_finish(s), 0) << icg_last_error();
+    EXPECT_EQ(icg_session_destroy(s), ICG_OK);
+  }
+}
+
+// A blob refused on its frame or its recorded configuration touches
+// nothing: the session's state and its recording carry on.
+TEST(CApiCheckpointTest, FrameAndConfigRefusalsLeaveTheSessionAndItsRecordingRunning) {
+  const auto rec = test_recording(20.0);
+  const icg_config cfg = test_config(ICG_BACKEND_DOUBLE);
+  icg_session* s = icg_session_create(&cfg);
+  ASSERT_NE(s, nullptr);
+  ASSERT_EQ(icg_session_record_start_mem(s, 0), ICG_OK) << icg_last_error();
+  const std::size_t half = 6 * kChunk;
+  push_range(s, rec, 0, half);
+  const std::vector<std::uint8_t> blob = checkpoint_of(s);
+
+  std::vector<std::uint8_t> crc_broken = blob;
+  crc_broken[crc_broken.size() / 2] ^= 0xFFu;
+  const std::vector<std::uint8_t> truncated(
+      blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(blob.size() / 2));
+  // CFG's window-length field (after the backend byte and the sample
+  // rate) under a re-stamped CRC: a window this session was not built with.
+  const std::vector<std::uint8_t> other_window = test::restamped(blob, "CFG ", 9, 0x01);
+  for (const std::vector<std::uint8_t>& bad : {crc_broken, truncated, other_window}) {
+    EXPECT_EQ(restore(s, bad), ICG_ERR_BAD_CHECKPOINT);
+    EXPECT_EQ(checkpoint_of(s), blob);
+  }
+
+  const std::size_t total = rec.ecg_mv.size();
+  push_range(s, rec, half, total);
+  uint32_t written = 0;
+  ASSERT_EQ(icg_session_record_stop_mem(s, nullptr, 0, &written), ICG_ERR_BUFFER_TOO_SMALL);
+  std::vector<std::uint8_t> file(written);
+  ASSERT_EQ(icg_session_record_stop_mem(s, file.data(), written, &written), ICG_OK)
+      << icg_last_error();
+  EXPECT_EQ(icg_session_destroy(s), ICG_OK);
+  uint64_t chunks = 0;
+  ASSERT_EQ(icg_flight_probe(file.data(), written, nullptr, nullptr, &chunks, nullptr, nullptr,
+                             nullptr),
+            ICG_OK);
+  EXPECT_EQ(chunks, (total + kChunk - 1) / kChunk);  // every push, before and after
+  EXPECT_TRUE(core::flight_verify(file).ok);
 }
 
 // A stream shorter than the filters' group delay, finished, checkpointed
@@ -746,6 +853,39 @@ TEST(CApiFlightRecordTest, FinishFinalizedMemRecordingStaysRetrievable) {
   const core::FlightVerifyReport rep = core::flight_verify(file);
   EXPECT_TRUE(rep.ok);
   EXPECT_TRUE(rep.finished);
+}
+
+TEST(CApiFlightRecordTest, RestoreFinalizesAnInMemoryRecordingAsStopped) {
+  const auto rec = test_recording(20.0);
+  for (const std::uint32_t backend : {ICG_BACKEND_DOUBLE, ICG_BACKEND_Q31}) {
+    SCOPED_TRACE(backend == ICG_BACKEND_DOUBLE ? "double" : "q31");
+    const icg_config cfg = test_config(backend);
+    icg_session* s = icg_session_create(&cfg);
+    ASSERT_NE(s, nullptr);
+    ASSERT_EQ(icg_session_record_start_mem(s, 0), ICG_OK) << icg_last_error();
+    push_range(s, rec, 0, 2000);
+    ASSERT_EQ(restore(s, checkpoint_of(s)), ICG_OK) << icg_last_error();
+    // The restore ended the recording the way finish does, marked
+    // stopped; the record stays retrievable exactly once.
+    uint32_t written = 0;
+    ASSERT_EQ(icg_session_record_stop_mem(s, nullptr, 0, &written), ICG_ERR_BUFFER_TOO_SMALL)
+        << icg_last_error();
+    std::vector<std::uint8_t> file(written);
+    ASSERT_EQ(icg_session_record_stop_mem(s, file.data(), written, &written), ICG_OK)
+        << icg_last_error();
+    EXPECT_EQ(icg_session_record_stop_mem(s, file.data(), written, &written),
+              ICG_ERR_BAD_STATE);
+    EXPECT_EQ(icg_session_destroy(s), ICG_OK);
+    uint32_t finished = 99;
+    ASSERT_EQ(icg_flight_probe(file.data(), written, nullptr, nullptr, nullptr, nullptr,
+                               nullptr, &finished),
+              ICG_OK);
+    EXPECT_EQ(finished, 0u);
+    const core::FlightVerifyReport rep = core::flight_verify(file);
+    EXPECT_TRUE(rep.ok);
+    EXPECT_TRUE(rep.has_end);
+    EXPECT_FALSE(rep.finished);
+  }
 }
 
 TEST(CApiFlightRecordTest, LargestIntervalMidSessionWritesNoPeriodicCheckpoint) {

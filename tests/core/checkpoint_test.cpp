@@ -8,6 +8,7 @@
 // contact-gap dropout. A version-1 reader must also reject corrupted,
 // truncated, or mismatched blobs with CheckpointError (never UB), and
 // read the committed version-1 golden fixtures bit-exactly.
+#include "common/restamp.h"
 #include "core/beat_serializer.h"
 #include "core/checkpoint.h"
 #include "core/pipeline.h"
@@ -241,7 +242,8 @@ TEST(CheckpointKernelTest, BaselineRemoverResumesBitIdentically) {
   EXPECT_EQ(ref_out, out);
 }
 
-// Loads what `write` puts in one section into `stage`.
+// Loads what `write` puts in one section into `stage`; raises the
+// reader's refusal as CheckpointError.
 template <typename Stage, typename Write>
 void load_section(Stage& stage, Write write) {
   StateWriter w;
@@ -253,6 +255,7 @@ void load_section(Stage& stage, Write write) {
   r.begin_section("TEST");
   stage.load_state(r);
   r.end_section();
+  if (!r.ok()) throw CheckpointError(r.error());
 }
 
 TEST(CheckpointKernelTest, ClearedStagePresenceByteIsRefused) {
@@ -487,33 +490,92 @@ TEST(CheckpointRejectionTest, MismatchedTargetIsRefused) {
 }
 
 // ---------------------------------------------------------------------------
-// Non-throwing probe: the C ABI's pre-restore validation (the only
-// corruption defence available to the no-exceptions firmware profile)
-// must agree with the throwing reader on every rejection class.
+// Re-stamped payloads: a one-bit payload edit under a recomputed CRC
+// passes every frame check, so each case reaches the loaders' own checks.
+// ---------------------------------------------------------------------------
+
+template <typename Pipeline>
+void expect_restamped_blobs_restore_or_are_refused() {
+  const synth::Recording rec = test_recording();
+  Pipeline source(rec.fs);
+  std::vector<BeatRecord> beats;
+  feed(source, rec, 0, rec.ecg_mv.size() / 2, 64, beats);
+  const std::vector<std::uint8_t> blob = source.checkpoint();
+  // One target serves every case: a restore that succeeds overwrites the
+  // whole carried state, whatever a refused one left behind.
+  Pipeline target(rec.fs);
+  std::size_t restored = 0, refused = 0;
+  for (const test::BlobSection& sec : test::blob_sections(blob)) {
+    // Every byte of the first 64, then about 64 more across the rest.
+    const std::size_t stride = std::max<std::size_t>(1, sec.len / 64);
+    for (std::size_t off = 0; off < sec.len; off += off < 64 ? 1 : stride) {
+      // One bit per case, cycling through the bit positions.
+      const auto mask = static_cast<std::uint8_t>(1u << (off % 8));
+      try {
+        target.restore(test::restamped(blob, sec.tag, off, mask));
+        ++restored;
+      } catch (const CheckpointError&) {
+        ++refused;
+      }
+    }
+  }
+  EXPECT_GT(restored, 0u);
+  EXPECT_GT(refused, 0u);
+}
+
+TEST(CheckpointRestampTest, EveryRestampedByteRestoresOrIsRefusedDouble) {
+  expect_restamped_blobs_restore_or_are_refused<StreamingBeatPipeline>();
+}
+
+TEST(CheckpointRestampTest, EveryRestampedByteRestoresOrIsRefusedQ31) {
+  expect_restamped_blobs_restore_or_are_refused<FixedStreamingBeatPipeline>();
+}
+
+TEST(CheckpointRestampTest, LoaderRefusalsPassTheFrameCheckAndReachRestore) {
+  const std::vector<std::uint8_t> blob = half_stream_blob();
+  StreamingBeatPipeline p(kFs);
+  const auto refusal = [&](const std::vector<std::uint8_t>& bad) -> std::string {
+    EXPECT_TRUE(p.restore_compatible(bad));
+    try {
+      p.restore(bad);
+    } catch (const CheckpointError& e) {
+      return e.what();
+    }
+    return "restored";
+  };
+  // The first ECGC presence byte cleared, and the low byte of RING's
+  // first ring capacity flipped.
+  EXPECT_EQ(refusal(test::restamped(blob, "ECGC", 0, 0x01)),
+            "checkpoint: EcgCleanerStage: sub-stage missing");
+  EXPECT_EQ(refusal(test::restamped(blob, "RING", 0, 0x01)),
+            "checkpoint: StreamingBeatPipeline: ring capacity mismatch");
+}
+
+// ---------------------------------------------------------------------------
+// restore_compatible: the check the C ABI runs before a restore touches
+// any state must agree with restore() on every frame and CFG rejection.
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointProbeTest, IntactBlobProbesValidWithItsConfig) {
   const std::vector<std::uint8_t> blob = half_stream_blob();
-  const core::CheckpointProbe p = core::probe_checkpoint(blob);
-  ASSERT_TRUE(p.valid);
-  EXPECT_FALSE(p.backend_fixed);
-  EXPECT_EQ(p.fs, kFs);
-  EXPECT_FALSE(p.ensemble);
   StreamingBeatPipeline match(kFs);
+  const std::vector<std::uint8_t> before = match.checkpoint();
   EXPECT_TRUE(match.restore_compatible(blob));
+  EXPECT_EQ(match.checkpoint(), before);  // a check, not a restore
 }
 
 TEST(CheckpointProbeTest, CorruptionAndTruncationProbeInvalid) {
   const std::vector<std::uint8_t> blob = half_stream_blob();
+  const StreamingBeatPipeline p(kFs);
   const std::size_t stride = std::max<std::size_t>(1, blob.size() / 97);
   for (std::size_t pos = 0; pos < blob.size(); pos += stride) {
     std::vector<std::uint8_t> bad = blob;
     bad[pos] ^= 0xA5u;
-    EXPECT_FALSE(core::probe_checkpoint(bad).valid) << "flipped byte " << pos;
+    EXPECT_FALSE(p.restore_compatible(bad)) << "flipped byte " << pos;
   }
   for (std::size_t len = 0; len < blob.size(); len += stride) {
     const std::span<const std::uint8_t> head(blob.data(), len);
-    EXPECT_FALSE(core::probe_checkpoint(head).valid) << "truncated to " << len;
+    EXPECT_FALSE(p.restore_compatible(head)) << "truncated to " << len;
   }
 }
 

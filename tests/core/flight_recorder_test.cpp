@@ -227,8 +227,8 @@ TEST(FlightStateTest, ReconstructedStateRestoresIntoAFreshPipeline) {
   const core::FlightStateReport rep =
       core::flight_state_at(file, rec.ecg_mv.size() / 2, state);
   EXPECT_GE(rep.samples, rec.ecg_mv.size() / 2);
-  ASSERT_TRUE(core::probe_checkpoint(state).valid);
   StreamingBeatPipeline p(rec.fs);
+  ASSERT_TRUE(p.restore_compatible(state));
   p.restore(state);
   EXPECT_EQ(p.samples_consumed(), rep.samples);
 }
@@ -322,6 +322,30 @@ TEST(FlightRecorderLifecycleTest, MidStreamRecordingWithoutItsInitialCheckpointI
   // in for the missing state, and a mid-session start rules that out.
   ASSERT_TRUE(core::probe_flight(cut).valid);
   EXPECT_THROW((void)core::flight_verify(cut), CheckpointError);
+}
+
+TEST(FlightRecorderLifecycleTest, DefaultConfigRecordsTheEnginesOwnWindow) {
+  // The recorder takes the window from the engine it taps, so a default
+  // config records an engine built with a 16 s window.
+  const synth::Recording rec = severe_recording(4);
+  StreamingBeatPipeline p(rec.fs, {}, 16.0);
+  BufferRecorderSink sink;
+  FlightRecorder recorder(sink, p);
+  std::vector<BeatRecord> emitted;
+  for (std::size_t i = 0; i < rec.ecg_mv.size(); i += 64) {
+    const std::size_t len = std::min<std::size_t>(64, rec.ecg_mv.size() - i);
+    const dsp::SignalView ecg(rec.ecg_mv.data() + i, len), z(rec.z_ohm.data() + i, len);
+    emitted.clear();
+    p.push_into(ecg, z, emitted);
+    recorder.on_chunk(p, ecg, z, emitted);
+  }
+  emitted.clear();
+  p.finish_into(emitted);
+  recorder.on_finish(p, emitted);
+  EXPECT_EQ(core::FlightReader(sink.bytes()).header().window_s, 16.0);
+  const FlightVerifyReport rep = core::flight_verify(sink.bytes());
+  EXPECT_TRUE(rep.ok) << "first divergent chunk " << rep.first_divergent_chunk;
+  EXPECT_TRUE(rep.finished);
 }
 
 TEST(FlightRecorderLifecycleTest, MidStreamStopVerifiesWithoutTail) {

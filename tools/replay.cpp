@@ -293,6 +293,7 @@ int cmd_dump(const std::string& path, std::optional<std::uint64_t> at_sample) {
     r.end_section();
     std::cout << "\n";
   }
+  if (!r.ok()) throw core::CheckpointError(r.error());
   return 0;
 }
 
