@@ -33,6 +33,7 @@
 #include "core/checkpoint.h"
 #include "core/pipeline.h"
 #include "dsp/backend.h"
+#include "dsp/stats.h"
 #include "dsp/types.h"
 
 #include <atomic>
@@ -389,6 +390,7 @@ const char* icg_status_name(int status) {
     case ICG_ERR_BUFFER_TOO_SMALL: return "ICG_ERR_BUFFER_TOO_SMALL";
     case ICG_ERR_NO_RESOURCES: return "ICG_ERR_NO_RESOURCES";
     case ICG_ERR_INTERNAL: return "ICG_ERR_INTERNAL";
+    case ICG_ERR_BAD_SAMPLE: return "ICG_ERR_BAD_SAMPLE";
     default: return status > 0 ? "ICG_OK(count)" : "ICG_ERR_?";
   }
 }
@@ -482,10 +484,13 @@ int icg_session_push(icg_session* session, const double* ecg_mv,
   if (len > s->cfg.max_chunk)
     return set_error(ICG_ERR_CHUNK_TOO_LARGE, "len exceeds icg_config.max_chunk");
   if (len == 0) return 0;
+  const icgkit::dsp::SignalView ecg(ecg_mv, len);
+  const icgkit::dsp::SignalView z(z_ohm, len);
+  if (!icgkit::dsp::all_finite(ecg) || !icgkit::dsp::all_finite(z))
+    return set_error(ICG_ERR_BAD_SAMPLE, "non-finite sample (NaN or Inf)");
   return guarded([&]() -> int {
     s->scratch.clear();
-    s->engine->push_into(icgkit::dsp::SignalView(ecg_mv, len),
-                         icgkit::dsp::SignalView(z_ohm, len), s->scratch);
+    s->engine->push_into(ecg, z, s->scratch);
     return enqueue_beats(*s);
   });
 }

@@ -105,7 +105,10 @@ typedef enum icg_status {
   ICG_ERR_NO_RESOURCES = -10,
   /* An internal invariant failed (a bug). icg_last_error() carries the
    * detail. */
-  ICG_ERR_INTERNAL = -11
+  ICG_ERR_INTERNAL = -11,
+  /* A pushed sample is NaN or infinite. Nothing of the chunk is
+   * applied: the session (and any recording) is as before the call. */
+  ICG_ERR_BAD_SAMPLE = -12
 } icg_status;
 
 /* ------------------------------------------------------------------ */
@@ -234,7 +237,8 @@ icg_session* icg_session_create(const icg_config* cfg);
 
 /* Feeds `len` synchronized samples (ECG in mV, impedance in Ohm).
  * Completed beats are queued for icg_session_poll_beat. Returns the
- * number of beats newly queued (>= 0), or a negative icg_status. */
+ * number of beats newly queued (>= 0), or a negative icg_status
+ * (ICG_ERR_BAD_SAMPLE when any sample is NaN or infinite). */
 int icg_session_push(icg_session* session, const double* ecg_mv,
                      const double* z_ohm, uint32_t len);
 
@@ -271,9 +275,10 @@ int icg_session_checkpoint(icg_session* session, uint8_t* buf, uint32_t cap,
  * been created with the same configuration (backend, sample rate,
  * window, ensemble stage) as the blob's source. Any refusal returns
  * ICG_ERR_BAD_CHECKPOINT, never an abort, in either of two states:
- *  - a blob whose frame (magic, version, section bounds, CRCs) or
- *    recorded configuration is wrong is refused before anything is
- *    touched: the session streams on and any recording keeps running;
+ *  - a blob whose frame (magic, version, section list, section bounds,
+ *    CRCs) or recorded configuration is wrong is refused before
+ *    anything is touched: the session streams on and any recording
+ *    keeps running;
  *  - a blob that passes those checks but whose payload a loader
  *    refuses has already replaced part of the state: push, finish and
  *    checkpoint then return ICG_ERR_BAD_STATE (so the half-loaded

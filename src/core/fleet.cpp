@@ -1,6 +1,7 @@
 #include "core/fleet.h"
 
 #include "dsp/simd.h"
+#include "dsp/stats.h"
 
 #include <chrono>
 #include <cstring>
@@ -194,6 +195,8 @@ bool SessionManager::do_try_submit(std::uint32_t session, dsp::SignalView ecg_mv
     throw std::invalid_argument("SessionManager: chunk length mismatch");
   if (ecg_mv.size() > cfg_.max_chunk)
     throw std::invalid_argument("SessionManager: chunk exceeds max_chunk");
+  if (!dsp::all_finite(ecg_mv) || !dsp::all_finite(z_ohm))
+    throw std::invalid_argument("SessionManager: non-finite sample in chunk");
   if (ecg_mv.empty()) return true;
   return enqueue_item(*sessions_[session], ecg_mv, z_ohm, SessionOp::Chunk);
 }

@@ -848,30 +848,37 @@ class BasicStreamingBeatPipeline {
   // resuming the stream, emits byte-identical BeatRecords to the
   // uninterrupted run — for both backends.
 
-  /// Serializes the session into `w` as one section per stage group —
-  /// the one definition of the version-1 section list. The beat-rate
-  /// sections are per lane: lane l's go to w.lane_writer(l), which is the
-  /// writer itself for a plain StateWriter; under a lane adaptor
-  /// (core::LaneStateWriter) every lane's byte stream is this same
-  /// scalar layout.
+  /// The version-1 section list, in blob order: the stage sections, then
+  /// one lane's beat-rate sections. save_state writes it, load_state
+  /// reads it, and restore_compatible holds a blob to it, so a missing,
+  /// extra or renamed section is refused before any state is touched.
+  enum Section : std::size_t { kCfg, kEcgc, kIcgc, kQrsd, kRing, kBeat, kGaps, kQsum, kEnsb };
+  static constexpr char kSections[][5] = {"CFG ", "ECGC", "ICGC", "QRSD", "RING",
+                                          "BEAT", "GAPS", "QSUM", "ENSB"};
+
+  /// Serializes the session into `w` as one section per stage group, in
+  /// kSections order. The beat-rate sections are per lane: lane l's go
+  /// to w.lane_writer(l), which is the writer itself for a plain
+  /// StateWriter; under a lane adaptor (core::LaneStateWriter) every
+  /// lane's byte stream is this same scalar layout.
   template <typename W>
   void save_state(W& w) const {
-    w.begin_section("CFG ");
+    w.begin_section(kSections[kCfg]);
     w.u8(B::kFixed ? 1 : 0);
     w.f64(fs_);
     w.u64(window_samples_);
     w.boolean(cfg_.enable_ensemble);
     w.end_section();
 
-    w.begin_section("ECGC");
+    w.begin_section(kSections[kEcgc]);
     ecg_stage_.save_state(w);
     w.end_section();
 
-    w.begin_section("ICGC");
+    w.begin_section(kSections[kIcgc]);
     icg_stage_.save_state(w);
     w.end_section();
 
-    w.begin_section("QRSD");
+    w.begin_section(kSections[kQrsd]);
     qrs_.save_state(w);
     w.end_section();
 
@@ -879,23 +886,23 @@ class BasicStreamingBeatPipeline {
       auto& lw = w.lane_writer(l);
       const Assembler& a = assemblers_[l];
 
-      lw.begin_section("RING");
+      lw.begin_section(kSections[kRing]);
       a.save_ring_body(lw);
       lw.end_section();
 
-      lw.begin_section("BEAT");
+      lw.begin_section(kSections[kBeat]);
       a.save_beat_body(lw);
       lw.end_section();
 
-      lw.begin_section("GAPS");
+      lw.begin_section(kSections[kGaps]);
       a.save_gaps_body(lw);
       lw.end_section();
 
-      lw.begin_section("QSUM");
+      lw.begin_section(kSections[kQsum]);
       a.save_qsum_body(lw);
       lw.end_section();
 
-      lw.begin_section("ENSB");
+      lw.begin_section(kSections[kEnsb]);
       a.save_ensb_body(lw);
       lw.end_section();
     }
@@ -909,36 +916,36 @@ class BasicStreamingBeatPipeline {
   void load_state(StateReader& r) requires(kLanes == 1) {
     load_config(r);
 
-    r.begin_section("ECGC");
+    r.begin_section(kSections[kEcgc]);
     ecg_stage_.load_state(r);
     r.end_section();
 
-    r.begin_section("ICGC");
+    r.begin_section(kSections[kIcgc]);
     icg_stage_.load_state(r);
     r.end_section();
 
-    r.begin_section("QRSD");
+    r.begin_section(kSections[kQrsd]);
     qrs_.load_state(r);
     r.end_section();
 
     Assembler& a = assemblers_[0];
-    r.begin_section("RING");
+    r.begin_section(kSections[kRing]);
     a.load_ring_body(r);
     r.end_section();
 
-    r.begin_section("BEAT");
+    r.begin_section(kSections[kBeat]);
     a.load_beat_body(r);
     r.end_section();
 
-    r.begin_section("GAPS");
+    r.begin_section(kSections[kGaps]);
     a.load_gaps_body(r);
     r.end_section();
 
-    r.begin_section("QSUM");
+    r.begin_section(kSections[kQsum]);
     a.load_qsum_body(r);
     r.end_section();
 
-    r.begin_section("ENSB");
+    r.begin_section(kSections[kEnsb]);
     a.load_ensb_body(r);
     r.end_section();
   }
@@ -960,19 +967,20 @@ class BasicStreamingBeatPipeline {
 
   /// Whether `blob` can be restored here, checked without touching any
   /// state: its CFG matches this pipeline's construction (load_state's
-  /// check) and every later section's frame (tag, bounds, CRC) is
-  /// intact. A loader can still refuse a payload past this check.
+  /// check), it holds exactly the kSections list, and every section's
+  /// frame (bounds, CRC) is intact. A loader can still refuse a payload
+  /// past this check.
   [[nodiscard]] bool restore_compatible(std::span<const std::uint8_t> blob) const
     requires(kLanes == 1)
   {
     StateReader r(blob);
     load_config(r);
-    char tag[5];
-    while (r.peek_tag(tag)) {
-      r.begin_section(tag);
+    for (std::size_t k = kEcgc; k < std::size(kSections); ++k) {
+      r.begin_section(kSections[k]);
       (void)r.bytes(r.section_remaining());
       r.end_section();
     }
+    if (!r.at_end()) r.fail("StreamingBeatPipeline: trailing bytes after final section");
     return r.ok();
   }
 
@@ -1006,7 +1014,7 @@ class BasicStreamingBeatPipeline {
   /// recorded construction differs from this pipeline's: the one CFG
   /// check load_state and restore_compatible share.
   void load_config(StateReader& r) const {
-    r.begin_section("CFG ");
+    r.begin_section(kSections[kCfg]);
     if (r.u8() != (B::kFixed ? 1 : 0))
       return r.fail("StreamingBeatPipeline: numeric-backend mismatch");
     if (r.f64() != fs_) return r.fail("StreamingBeatPipeline: sample-rate mismatch");

@@ -7,6 +7,11 @@
 
 #include "support/contract.h"
 
+#if defined(ICGKIT_FIR_AVX512)
+#include <immintrin.h>
+#define ICGKIT_AVX512_TARGET __attribute__((target("avx512f,avx512vl")))
+#endif
+
 namespace icgkit::dsp {
 
 namespace {
@@ -135,6 +140,97 @@ FirCoefficients zero_phase_sos_kernel(const SosFilter& filter, double tol,
   }
   return out;
 }
+
+#if defined(ICGKIT_FIR_AVX512)
+bool wide_fir_active() {
+  static const bool ok = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512vl");
+  }();
+  return ok;
+}
+
+namespace {
+
+// V registers of eight outputs side by side: lane l of register v is
+// output 8v + l, the convolution at x + 8v + l, accumulated in tap order.
+// `last` masks the lanes of register V - 1 that exist (all eight in a
+// full pass); masked lanes are neither loaded nor stored.
+template <int V>
+ICGKIT_AVX512_TARGET inline void wide_pass(const double* tap, std::size_t len, const double* x,
+                                           double* dst, __mmask8 last) {
+  __m512d acc[V];
+  for (int v = 0; v < V; ++v) acc[v] = _mm512_setzero_pd();
+  for (std::size_t j = 0; j < len; ++j) {
+    const __m512d c = _mm512_set1_pd(tap[j]);
+    const double* p = x - j;
+#pragma GCC unroll 4
+    for (int v = 0; v + 1 < V; ++v)
+      acc[v] = _mm512_add_pd(acc[v], _mm512_mul_pd(c, _mm512_loadu_pd(p + 8 * v)));
+    const __m512d tail = _mm512_maskz_loadu_pd(last, p + 8 * (V - 1));
+    acc[V - 1] = _mm512_add_pd(acc[V - 1], _mm512_mul_pd(c, tail));
+  }
+  for (int v = 0; v + 1 < V; ++v) _mm512_storeu_pd(dst + 8 * v, acc[v]);
+  _mm512_mask_storeu_pd(dst + 8 * (V - 1), last, acc[V - 1]);
+}
+
+// The Q31 pass: each sample widens to a 64-bit lane, vpmuldq forms the
+// exact Q3.61 product with the tap, vpsraq brings it to Q1.31 and vpaddq
+// accumulates; vpmovsqd narrows with signed saturation. The zero-masking
+// forms under an all-lanes mask are the plain instructions; GCC 12's
+// unmasked ones read an undefined source it warns about.
+template <int V>
+ICGKIT_AVX512_TARGET inline void wide_pass(const std::int32_t* tap, std::size_t len,
+                                           const std::int32_t* x, std::int32_t* dst,
+                                           __mmask8 last) {
+  __m512i acc[V];
+  for (int v = 0; v < V; ++v) acc[v] = _mm512_setzero_si512();
+  for (std::size_t j = 0; j < len; ++j) {
+    const __m512i c = _mm512_set1_epi32(tap[j]);  // vpmuldq reads each lane's low half
+    const std::int32_t* p = x - j;
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) {
+      const __m256i s = v + 1 < V ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 8 * v))
+                                  : _mm256_maskz_loadu_epi32(last, p + 8 * v);
+      const __m512i prod = _mm512_maskz_mul_epi32(0xFF, c, _mm512_maskz_cvtepi32_epi64(0xFF, s));
+      acc[v] = _mm512_add_epi64(acc[v], _mm512_maskz_srai_epi64(0xFF, prod, 30));
+    }
+  }
+  for (int v = 0; v + 1 < V; ++v) _mm512_mask_cvtsepi64_storeu_epi32(dst + 8 * v, 0xFF, acc[v]);
+  _mm512_mask_cvtsepi64_storeu_epi32(dst + 8 * (V - 1), last, acc[V - 1]);
+}
+
+// Full passes of 32 outputs, then one pass over the remaining 1..31
+// with its last register masked.
+template <typename T>
+ICGKIT_AVX512_TARGET void convolve_runs(const T* tap, std::size_t len, const T* newest,
+                                        std::size_t n, T* dst) {
+  std::size_t k = 0;
+  for (; k + 32 <= n; k += 32) wide_pass<4>(tap, len, newest + k, dst + k, 0xFF);
+  const std::size_t rest = n - k;
+  if (rest == 0) return;
+  const auto last = static_cast<__mmask8>((1u << ((rest - 1) % 8 + 1)) - 1);
+  switch ((rest + 7) / 8) {
+    case 1: return wide_pass<1>(tap, len, newest + k, dst + k, last);
+    case 2: return wide_pass<2>(tap, len, newest + k, dst + k, last);
+    case 3: return wide_pass<3>(tap, len, newest + k, dst + k, last);
+    default: return wide_pass<4>(tap, len, newest + k, dst + k, last);
+  }
+}
+
+} // namespace
+
+namespace detail {
+void convolve_wide(const double* tap, std::size_t len, const double* newest, std::size_t n,
+                   double* dst) {
+  convolve_runs(tap, len, newest, n, dst);
+}
+void convolve_wide(const std::int32_t* tap, std::size_t len, const std::int32_t* newest,
+                   std::size_t n, std::int32_t* dst) {
+  convolve_runs(tap, len, newest, n, dst);
+}
+} // namespace detail
+#endif  // ICGKIT_FIR_AVX512
 
 // The one copy of the scalar streaming FIR (see the extern declarations
 // in filtfilt.h).

@@ -69,6 +69,36 @@ FirCoefficients zero_phase_fir_kernel(const FirCoefficients& fir);
 FirCoefficients zero_phase_sos_kernel(const SosFilter& filter, double tol = 1e-6,
                                       std::size_t max_half_len = 4096);
 
+// The AVX-512 convolutions of the scalar streaming FIRs are host-only,
+// under the same guard as the checkpoint CRC's PCLMUL fold: the firmware
+// archive (ICGKIT_EMBEDDED, set by the icgkit_embedded target alone)
+// compiles them, and the CPU probe that picks them, out.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(ICGKIT_EMBEDDED)
+#define ICGKIT_FIR_AVX512 1
+#endif
+
+/// Whether the chunk feeds of the double and Q31 streaming FIRs run the
+/// AVX-512 convolution in this process: the CPU has avx512f and
+/// avx512vl. Decided once, on the first call; false where the wide
+/// kernel is compiled out.
+#if defined(ICGKIT_FIR_AVX512)
+bool wide_fir_active();
+
+namespace detail {
+/// dst[k] = sum_j tap[j] * newest[k - j] (j = 0..len-1) for k < n, each
+/// output accumulated in its own lane in tap order and narrowed like
+/// B::narrow; reads no sample past newest[n - 1]. Requires
+/// wide_fir_active().
+void convolve_wide(const double* tap, std::size_t len, const double* newest, std::size_t n,
+                   double* dst);
+void convolve_wide(const std::int32_t* tap, std::size_t len, const std::int32_t* newest,
+                   std::size_t n, std::int32_t* dst);
+} // namespace detail
+#else
+constexpr bool wide_fir_active() { return false; }
+#endif
+
 /// Single-pass streaming filter for a symmetric (odd-length) kernel with
 /// group-delay compensation and filtfilt-style odd-reflection edges,
 /// generic over the numeric backend (dsp/backend.h; the Q31
@@ -93,6 +123,22 @@ FirCoefficients zero_phase_sos_kernel(const SosFilter& filter, double tol = 1e-6
 /// one-output-at-a-time push(); only which outputs run side by side
 /// changes. The side-by-side accumulators are the speed-up: a single
 /// output is one dependent add chain, bound by FP-add latency.
+///
+/// On a host whose CPU has AVX-512 (F and VL), the double and Q31 chunk
+/// feeds hand each whole run to detail::convolve_wide instead, chosen
+/// once per process (wide_fir_active()). It keeps eight outputs per
+/// 512-bit register, 32 per pass, with the same per-output contract:
+/// each lane starts at zero and adds tap j's product for j = 0..len-1.
+/// Double multiplies and then adds (vmulpd, vaddpd) and uses no FMA
+/// intrinsic, which -ffp-contract=off would not cover; both paths round
+/// under the same MXCSR, so DenormalGuard's FTZ/DAZ applies to them
+/// alike. Q31 forms each product with vpmuldq, shifts it by vpsraq 30 and
+/// adds it with vpaddq, which are Q31Backend::mac; vpmovsqd's signed
+/// saturation is Q31Backend::saturate. A run's last n mod 8 outputs use
+/// masked loads and stores, so the device's 10-sample chunks stay wide
+/// and no sample past the written history is read. The firmware archive
+/// compiles the wide kernel and its CPU probe out, and no knob forces
+/// either path: the bytes are the same, only the speed differs.
 template <typename B>
 class BasicStreamingZeroPhaseFir {
  public:
@@ -257,7 +303,8 @@ class BasicStreamingZeroPhaseFir {
   [[nodiscard]] const FirCoefficients& kernel() const { return kernel_; }
 
  private:
-  /// Outputs convolved per pass over the taps by the chunk feeds: eight
+  /// Outputs convolved per pass over the taps by the chunk feeds where
+  /// the AVX-512 kernel does not run (other hosts, the firmware): eight
   /// doubles as four LaneVec<2> accumulators (elementwise, so even the
   /// baseline SSE2 build vectorizes without reassociating), four Q31
   /// outputs on 64-bit accumulators (one tap load per four MACs), and one
@@ -305,6 +352,16 @@ class BasicStreamingZeroPhaseFir {
     pos_ += n;
     fed_ += n;
     const sample_t* newest = line_.data() + pos_ - n;
+#if defined(ICGKIT_FIR_AVX512)
+    if constexpr (kBlock > 1) {
+      if (wide_fir_active()) {
+        const std::size_t base = out.size();
+        out.resize(base + n);
+        detail::convolve_wide(taps().data(), taps().size(), newest, n, out.data() + base);
+        return;
+      }
+    }
+#endif
     std::size_t k = 0;
     if constexpr (kBlock > 1) {
       for (; k + kBlock <= n; k += kBlock) {

@@ -19,6 +19,11 @@ namespace icgkit::dsp {
 /// Fixed-capacity single-threaded FIFO with random access from the
 /// oldest element (at(0) = oldest) and deque-style back removal; push on
 /// a full buffer overwrites the oldest element (newest data wins).
+///
+/// Invariant: head_ < capacity() and size_ <= capacity(). Every offset
+/// added to head_ (a logical index, the size, or 1) is at most the
+/// capacity, so the sum is below twice the capacity and one conditional
+/// subtraction (slot()) wraps it exactly: no division on the hot path.
 template <typename T>
 class RingBuffer {
  public:
@@ -34,9 +39,9 @@ class RingBuffer {
   /// Appends a value; overwrites the oldest element when full (the
   /// firmware drop policy: newest data wins).
   void push(const T& v) {
-    buf_[(head_ + size_) % buf_.size()] = v;
+    buf_[slot(size_)] = v;
     if (full()) {
-      head_ = (head_ + 1) % buf_.size();
+      head_ = slot(1);
     } else {
       ++size_;
     }
@@ -46,7 +51,7 @@ class RingBuffer {
   T pop() {
     if (empty()) ICGKIT_THROW(std::out_of_range("RingBuffer: pop from empty"));
     T v = buf_[head_];
-    head_ = (head_ + 1) % buf_.size();
+    head_ = slot(1);
     --size_;
     return v;
   }
@@ -57,13 +62,13 @@ class RingBuffer {
   T pop_back() {
     if (empty()) ICGKIT_THROW(std::out_of_range("RingBuffer: pop_back from empty"));
     --size_;
-    return buf_[(head_ + size_) % buf_.size()];
+    return buf_[slot(size_)];
   }
 
   /// Element i positions from the oldest (0 = oldest).
   [[nodiscard]] const T& at(std::size_t i) const {
     if (i >= size_) ICGKIT_THROW(std::out_of_range("RingBuffer: index out of range"));
-    return buf_[(head_ + i) % buf_.size()];
+    return buf_[slot(i)];
   }
 
   /// Newest element.
@@ -80,14 +85,14 @@ class RingBuffer {
   /// oldest, like at()): at most two contiguous spans — the range up to
   /// the physical wrap point, then the remainder. Lets window consumers
   /// (the per-beat tail) run flat pointer loops instead of a per-element
-  /// modulo through at(). Spans are invalidated by any mutation.
+  /// index wrap through at(). Spans are invalidated by any mutation.
   struct Segments {
     std::span<const T> first, second;
   };
   [[nodiscard]] Segments segments(std::size_t lo, std::size_t hi) const {
     if (lo > hi || hi > size_)
       ICGKIT_THROW(std::out_of_range("RingBuffer: segment range out of range"));
-    const std::size_t start = (head_ + lo) % buf_.size();
+    const std::size_t start = slot(lo);
     const std::size_t len = hi - lo;
     const std::size_t first_len = std::min(len, buf_.size() - start);
     return {std::span<const T>(buf_.data() + start, first_len),
@@ -126,6 +131,12 @@ class RingBuffer {
   }
 
  private:
+  /// Physical slot of logical offset i <= capacity() from the oldest.
+  [[nodiscard]] std::size_t slot(std::size_t i) const {
+    const std::size_t s = head_ + i;
+    return s >= buf_.size() ? s - buf_.size() : s;
+  }
+
   std::vector<T> buf_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;

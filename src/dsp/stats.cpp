@@ -8,6 +8,12 @@
 
 namespace icgkit::dsp {
 
+bool all_finite(SignalView x) {
+  bool ok = true;
+  for (const double v : x) ok &= std::isfinite(v);
+  return ok;
+}
+
 double mean(SignalView x) {
   if (x.empty()) return 0.0;
   double acc = 0.0;

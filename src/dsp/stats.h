@@ -13,6 +13,12 @@
 
 namespace icgkit::dsp {
 
+/// Whether every sample is finite (no NaN, no +-Inf). Each entry point
+/// that takes samples from outside (the C ABI push, the fleet's push,
+/// the server's CHNK) refuses a chunk this rejects: the engine's
+/// arithmetic is only reproducible on finite input.
+bool all_finite(SignalView x);
+
 /// Arithmetic mean; 0 for an empty signal.
 double mean(SignalView x);
 /// Unbiased sample variance (n-1 denominator); 0 for n < 2.

@@ -1,6 +1,7 @@
 #include "net/server.h"
 
 #include "core/batch.h"
+#include "dsp/stats.h"
 
 #include <arpa/inet.h>
 #include <fcntl.h>
@@ -403,6 +404,10 @@ void FleetServer::handle_chunk(Connection& c, PayloadReader& r) {
   }
   if (st->finish_requested) {
     send_error(c, WireErrorCode::Protocol, stream_id, "CHNK after CLSE", false);
+    return;
+  }
+  if (!dsp::all_finite(ecg_scratch_) || !dsp::all_finite(z_scratch_)) {
+    send_error(c, WireErrorCode::BadFrame, stream_id, "CHNK holds a non-finite sample", false);
     return;
   }
   if (n == 0) return;

@@ -101,7 +101,7 @@ inline constexpr std::uint32_t kNoStream = 0xFFFFFFFFu;
 enum class WireErrorCode : std::uint32_t {
   None = 0,
   VersionMismatch = 1,  ///< peer's stream header / HELO version differs
-  BadFrame = 2,         ///< CRC mismatch, oversized length, malformed payload
+  BadFrame = 2,         ///< CRC mismatch, oversized length, malformed payload, non-finite CHNK sample
   UnknownRecord = 3,    ///< unrecognized tag (a version-1 peer never sends one)
   UnknownStream = 4,    ///< record for a stream_id that was never opened
   DuplicateStream = 5,  ///< OPEN with a stream_id already in use

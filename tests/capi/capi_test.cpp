@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -437,6 +438,59 @@ TEST(CApiCheckpointTest, FrameAndConfigRefusalsLeaveTheSessionAndItsRecordingRun
   EXPECT_TRUE(core::flight_verify(file).ok);
 }
 
+// Streams rec[from, end) through `s` and its twin in kChunk pushes,
+// then finishes and destroys both: every push must succeed with the
+// twin's beat count, and both must emit the same beat bytes.
+void expect_twins_agree(icg_session* s, icg_session* twin, const synth::Recording& rec,
+                        std::size_t from) {
+  std::vector<unsigned char> got, want;
+  icg_beat beat;
+  const std::size_t total = rec.ecg_mv.size();
+  for (std::size_t off = from; off < total; off += kChunk) {
+    const auto len = static_cast<std::uint32_t>(std::min<std::size_t>(kChunk, total - off));
+    const int rc = icg_session_push(s, rec.ecg_mv.data() + off, rec.z_ohm.data() + off, len);
+    ASSERT_GE(rc, ICG_OK) << "push at " << off << ": " << icg_last_error();
+    ASSERT_EQ(rc, icg_session_push(twin, rec.ecg_mv.data() + off, rec.z_ohm.data() + off, len));
+    while (icg_session_poll_beat(s, &beat) == 1) serialize_beat(from_c_beat(beat), got);
+    while (icg_session_poll_beat(twin, &beat) == 1) serialize_beat(from_c_beat(beat), want);
+  }
+  ASSERT_GE(icg_session_finish(s), ICG_OK) << icg_last_error();
+  ASSERT_GE(icg_session_finish(twin), ICG_OK) << icg_last_error();
+  while (icg_session_poll_beat(s, &beat) == 1) serialize_beat(from_c_beat(beat), got);
+  while (icg_session_poll_beat(twin, &beat) == 1) serialize_beat(from_c_beat(beat), want);
+  EXPECT_FALSE(want.empty());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(icg_session_destroy(s), ICG_OK);
+  EXPECT_EQ(icg_session_destroy(twin), ICG_OK);
+}
+
+// A section's tag sits outside its CRC, so a blob whose ECGC tag byte is
+// flipped has intact frames. Held to the saver's section list it is
+// refused before anything loads, and the session streams on exactly
+// like an untouched twin.
+TEST(CApiCheckpointTest, RenamedSectionIsRefusedBeforeAnythingLoads) {
+  const auto rec = test_recording(20.0);
+  for (const std::uint32_t backend : {ICG_BACKEND_DOUBLE, ICG_BACKEND_Q31}) {
+    SCOPED_TRACE(backend == ICG_BACKEND_DOUBLE ? "double" : "q31");
+    const icg_config cfg = test_config(backend);
+    icg_session* s = icg_session_create(&cfg);
+    icg_session* twin = icg_session_create(&cfg);
+    ASSERT_NE(s, nullptr) << icg_last_error();
+    ASSERT_NE(twin, nullptr) << icg_last_error();
+    push_range(s, rec, 0, 1500);
+    push_range(twin, rec, 0, 1500);
+    std::vector<std::uint8_t> blob = checkpoint_of(s);
+    ASSERT_GT(blob.size(), 42u);
+    ASSERT_EQ(std::memcmp(blob.data() + 38, "ECGC", 4), 0);  // after header and CFG
+    blob[39] ^= 0x01u;  // "EBGC"
+    EXPECT_EQ(restore(s, blob), ICG_ERR_BAD_CHECKPOINT);
+    EXPECT_EQ(icg_session_push(s, rec.ecg_mv.data() + 1500, rec.z_ohm.data() + 1500, 8),
+              icg_session_push(twin, rec.ecg_mv.data() + 1500, rec.z_ohm.data() + 1500, 8))
+        << icg_last_error();
+    expect_twins_agree(s, twin, rec, 1508);
+  }
+}
+
 // A stream shorter than the filters' group delay, finished, checkpointed
 // and restored into a fresh session that is finished again: only valid
 // calls, so every one of them must succeed.
@@ -584,6 +638,38 @@ TEST(CApiAbuseTest, OversizedChunkAndBadStateAreErrors) {
   EXPECT_EQ(icg_session_push(s, samples.data(), samples.data(), 8), ICG_ERR_BAD_STATE);
   EXPECT_EQ(icg_session_finish(s), ICG_ERR_BAD_STATE);
   EXPECT_EQ(icg_session_destroy(s), ICG_OK);
+}
+
+// NaN or an infinity in either channel refuses the whole push and
+// applies none of it: the session's state is unchanged and it streams on
+// exactly like a twin that never saw the chunk.
+TEST(CApiAbuseTest, NonFiniteSamplesAreRefusedAndApplyNothing) {
+  const auto rec = test_recording(20.0);
+  for (const std::uint32_t backend : {ICG_BACKEND_DOUBLE, ICG_BACKEND_Q31}) {
+    SCOPED_TRACE(backend == ICG_BACKEND_DOUBLE ? "double" : "q31");
+    const icg_config cfg = test_config(backend);
+    icg_session* s = icg_session_create(&cfg);
+    icg_session* twin = icg_session_create(&cfg);
+    ASSERT_NE(s, nullptr) << icg_last_error();
+    ASSERT_NE(twin, nullptr) << icg_last_error();
+    push_range(s, rec, 0, 1500);
+    push_range(twin, rec, 0, 1500);
+    const std::vector<std::uint8_t> before = checkpoint_of(s);
+    for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()}) {
+      for (const bool in_ecg : {true, false}) {
+        std::vector<double> ecg(rec.ecg_mv.begin() + 1500, rec.ecg_mv.begin() + 1500 + kChunk);
+        std::vector<double> z(rec.z_ohm.begin() + 1500, rec.z_ohm.begin() + 1500 + kChunk);
+        (in_ecg ? ecg : z)[kChunk - 1] = bad;
+        EXPECT_EQ(icg_session_push(s, ecg.data(), z.data(), kChunk), ICG_ERR_BAD_SAMPLE);
+        EXPECT_NE(std::strstr(icg_last_error(), "ICG_ERR_BAD_SAMPLE"), nullptr);
+      }
+    }
+    EXPECT_EQ(checkpoint_of(s), before);
+    expect_twins_agree(s, twin, rec, 1500);
+  }
+  EXPECT_STREQ(icg_status_name(ICG_ERR_BAD_SAMPLE), "ICG_ERR_BAD_SAMPLE");
 }
 
 TEST(CApiAbuseTest, BeatBacklogPoisonsSession) {

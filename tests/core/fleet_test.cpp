@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace {
@@ -140,6 +141,19 @@ TEST(FleetTest, ValidatesSubmissions) {
   const std::vector<double> a(16, 0.0), b(8, 0.0), big(64, 0.0);
   EXPECT_THROW(h.try_push(a, b), std::invalid_argument);
   EXPECT_THROW(h.try_push(big, big), std::invalid_argument);
+  // A NaN or an infinity in either channel, through either push.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    std::vector<double> tainted = a;
+    tainted[5] = bad;
+    std::vector<FleetBeat> none;
+    EXPECT_THROW(h.try_push(tainted, a), std::invalid_argument);
+    EXPECT_THROW(h.try_push(a, tainted), std::invalid_argument);
+    EXPECT_THROW(h.push(tainted, a, none), std::invalid_argument);
+    EXPECT_THROW(h.push(a, tainted, none), std::invalid_argument);
+  }
+  EXPECT_EQ(h.processed(), 0u);  // nothing was submitted
 
   std::vector<FleetBeat> sink;
   h.finish(sink);

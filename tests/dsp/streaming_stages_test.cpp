@@ -5,6 +5,7 @@
 #include "core/stream.h"
 #include "dsp/backend.h"
 #include "dsp/butterworth.h"
+#include "dsp/denormal.h"
 #include "dsp/filtfilt.h"
 #include "dsp/fir_design.h"
 #include "dsp/morphology.h"
@@ -20,7 +21,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <numbers>
+#include <numeric>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -205,19 +210,36 @@ using FirBackends =
     ::testing::Types<DoubleBackend, Q31Backend, BatchBackend<4>, BatchBackend<8>>;
 TYPED_TEST_SUITE(StreamingZeroPhaseFirTest, FirBackends, BackendName);
 
-// n samples per lane, a different signal in every lane, kept inside the
-// Q1.31 range.
+// What lane_signal draws: noise inside the Q1.31 range; the noise's
+// sign at +-full scale (Q31's rails); or signed zeros, subnormals and
+// the smallest normals.
+enum class Input { Noise, Rails, Tiny };
+
+// n samples per lane, a different signal in every lane.
 template <typename B>
-std::vector<typename B::sample_t> lane_signal(std::size_t n) {
+std::vector<typename B::sample_t> lane_signal(std::size_t n, Input input = Input::Noise) {
+  constexpr double kTiny[] = {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+                              -std::numeric_limits<double>::denorm_min(),
+                              std::numeric_limits<double>::min()};
   std::vector<typename B::sample_t> x(n);
   for (std::size_t l = 0; l < B::kLanes; ++l) {
     const Signal s = noisy_signal(n, 40 + l);
     for (std::size_t i = 0; i < n; ++i) {
-      if constexpr (is_batch_backend_v<B>) x[i].set_lane(l, 0.3 * s[i]);
-      else x[i] = B::from_real(0.3 * s[i]);
+      double v = 0.3 * s[i];
+      if (input == Input::Rails) v = s[i] < 0.0 ? -1.0 : 1.0;
+      if (input == Input::Tiny) v = kTiny[(i + l) % std::size(kTiny)] * (i % 7 == 3 ? s[i] : 1.0);
+      if constexpr (is_batch_backend_v<B>) x[i].set_lane(l, v);
+      else x[i] = B::from_real(v);
     }
   }
   return x;
+}
+
+// Which convolution the chunk feeds ran, for the test report.
+template <typename B>
+const char* fir_path() {
+  if constexpr (is_batch_backend_v<B>) return "batch lanes";
+  else return wide_fir_active() ? "avx512" : "blocked";
 }
 
 template <typename T>
@@ -272,25 +294,47 @@ BasicStreamingZeroPhaseFir<B> restored(const FirCoefficients& kernel,
   return f;
 }
 
+// Every chunk length from 1 to 17 (the device's 10 among them) runs
+// each masked tail width of the wide kernel and one to three of its
+// registers; 64 and the longer chunks run full 32-output passes.
 TYPED_TEST(StreamingZeroPhaseFirTest, BlockedChunksMatchOneSampleFeed) {
   using B = TypeParam;
   using Fir = BasicStreamingZeroPhaseFir<B>;
   using sample_t = typename B::sample_t;
-  const FirCoefficients kernels[] = {
-      FirCoefficients{{0.75}},
-      FirCoefficients{{0.25, 0.5, 0.25}},
-      core::ecg_cleaner_fir_kernel(250.0, {}),
-      ecg::pan_tompkins_bandpass_kernel(250.0, {}),
-      ecg::pan_tompkins_bandpass_kernel(1000.0, {}),
+  ::testing::Test::RecordProperty("fir_path", fir_path<B>());
+  struct Case {
+    FirCoefficients kernel;
+    Input input;
   };
-  for (const FirCoefficients& kernel : kernels) {
+  const Case cases[] = {
+      {FirCoefficients{{0.75}}, Input::Noise},
+      {FirCoefficients{{0.25, 0.5, 0.25}}, Input::Noise},
+      {core::ecg_cleaner_fir_kernel(250.0, {}), Input::Noise},
+      {ecg::pan_tompkins_bandpass_kernel(250.0, {}), Input::Noise},
+      {ecg::pan_tompkins_bandpass_kernel(1000.0, {}), Input::Noise},
+      // Taps summing past 1: Q31 outputs saturate at both rails. A
+      // 3-tap history slides every 4 samples, so only the 49-tap
+      // kernel's runs fill more than one register.
+      {FirCoefficients{{0.9, 1.9, 0.9}}, Input::Rails},
+      {FirCoefficients{Signal(49, 0.1)}, Input::Rails},
+      {core::ecg_cleaner_fir_kernel(250.0, {}), Input::Tiny},
+  };
+  std::vector<std::size_t> chunks(17);
+  std::iota(chunks.begin(), chunks.end(), std::size_t{1});
+  for (const auto& [kernel, input] : cases) {
     const std::size_t len = kernel.taps.size();
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{64}, len,
-                                    len + 1, 3 * len + 5}) {
-      SCOPED_TRACE("len " + std::to_string(len) + ", chunk " + std::to_string(chunk));
+    // Subnormal handling is part of the arithmetic: the engine runs it
+    // flushed, and both convolutions round under the same mode.
+    std::optional<DenormalGuard> flush;
+    if (input == Input::Tiny) flush.emplace();
+    std::vector<std::size_t> sizes = chunks;
+    sizes.insert(sizes.end(), {std::size_t{64}, len, len + 1, 3 * len + 5});
+    for (const std::size_t chunk : sizes) {
+      SCOPED_TRACE("len " + std::to_string(len) + ", input " +
+                   std::to_string(static_cast<int>(input)) + ", chunk " + std::to_string(chunk));
       // Past the warm-up the history slides every len + 1 samples: at
       // least twice here, and inside a chunk for the last three sizes.
-      const std::vector<sample_t> x = lane_signal<B>(std::max(2 * len, chunk + len) + 11);
+      const std::vector<sample_t> x = lane_signal<B>(std::max(2 * len, chunk + len) + 11, input);
       Fir ref(kernel);
       Fir fed(kernel);
       Fir resumed(kernel);  // restored from `fed` at every chunk boundary

@@ -21,6 +21,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -539,6 +540,70 @@ TEST(ServerTest, OpenStatusesAndStatsVerb) {
   ASSERT_NE(client.wait_for(net::ClientEvent::Type::Quality, events), SIZE_MAX);
   client.bye();
   server.stop();
+}
+
+// A CHNK holding NaN or an infinity is answered with a stream-level
+// ERRR BadFrame and dropped; the connection and the stream carry on as
+// if it had never been sent.
+TEST(ServerTest, NonFiniteChunkIsRefusedAndDropped) {
+  const auto workload = test_workload(1, 4.0);
+  const synth::Recording& rec = workload[0];
+  auto cfg = test_config(1);
+  cfg.fs_hz = rec.fs;
+  cfg.tenant_pending_chunks = 64;  // the whole recording may queue: nothing is shed
+  net::FleetServer server(cfg);
+  ASSERT_EQ(server.bind(), net::ServerStatus::Ok);
+  server.start();
+
+  net::FleetClient client;
+  ASSERT_TRUE(client.connect_loopback(server.port()));
+  std::vector<net::ClientEvent> events;
+  client.open_stream(1);
+  ASSERT_NE(client.wait_for(net::ClientEvent::Type::OpenAck, events), SIZE_MAX);
+
+  const std::size_t n = rec.ecg_mv.size();
+  for (std::size_t i = 0; i < n; i += kChunk) {
+    const std::size_t len = std::min(kChunk, n - i);
+    if (i == 4 * kChunk) {
+      for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                               -std::numeric_limits<double>::infinity()}) {
+        std::vector<double> z(rec.z_ohm.begin() + static_cast<std::ptrdiff_t>(i),
+                              rec.z_ohm.begin() + static_cast<std::ptrdiff_t>(i + len));
+        z[len / 2] = bad;
+        client.send_chunk(1, {rec.ecg_mv.data() + i, len}, z);
+        const std::size_t at = client.wait_for(net::ClientEvent::Type::Error, events);
+        ASSERT_NE(at, SIZE_MAX);
+        EXPECT_EQ(events[at].error.code, net::WireErrorCode::BadFrame);
+        EXPECT_EQ(events[at].error.stream, 1u);
+        EXPECT_TRUE(client.connected());
+      }
+    }
+    client.send_chunk(1, {rec.ecg_mv.data() + i, len}, {rec.z_ohm.data() + i, len});
+  }
+  client.close_stream(1);
+  ASSERT_NE(client.wait_for(net::ClientEvent::Type::Quality, events), SIZE_MAX);
+
+  std::vector<unsigned char> wire;
+  for (const net::ClientEvent& ev : events) {
+    ASSERT_NE(ev.type, net::ClientEvent::Type::Shed);
+    if (ev.type == net::ClientEvent::Type::Beat) core::serialize_beat(ev.beat, wire);
+  }
+  core::StreamingBeatPipeline direct(rec.fs, {});
+  std::vector<core::BeatRecord> beats;
+  for (std::size_t i = 0; i < n; i += kChunk) {
+    const std::size_t len = std::min(kChunk, n - i);
+    direct.push_into(dsp::SignalView(rec.ecg_mv.data() + i, len),
+                     dsp::SignalView(rec.z_ohm.data() + i, len), beats);
+  }
+  direct.finish_into(beats);
+  ASSERT_FALSE(beats.empty());
+  std::vector<unsigned char> reference;
+  for (const core::BeatRecord& b : beats) core::serialize_beat(b, reference);
+  EXPECT_EQ(wire, reference);
+
+  client.bye();
+  server.stop();
+  EXPECT_EQ(server.stats().shed_chunks, 0u);
 }
 
 TEST(ServerTest, VersionMismatchIsRefusedWithError) {
