@@ -9,6 +9,14 @@
 //
 //   [tag 4 bytes] [payload length u32] [payload] [CRC-32 of payload u32]
 //
+// Three streams use these frames, and StateWriter/StateReader are the
+// only code that writes or parses them: checkpoint blobs, flight-record
+// files (core/flight_recorder.h: one header, then continuation sections)
+// and the network wire (net/wire.h: its own "ICGW" stream header, then
+// one record per section, each opened by StateReader::continuation). So
+// StateWriter::end_section and StateReader::begin_section alone decide
+// what a frame's CRC covers, for all three.
+//
 // All multi-byte integers are little-endian regardless of host order;
 // doubles travel as the IEEE-754 bit pattern of their value (u64). The
 // format is therefore stable across architectures and compilers, and a
@@ -198,14 +206,15 @@ class StateWriter {
 /// peek_tag()/at_end() return false.
 class StateReader {
  public:
-  explicit StateReader(std::span<const std::uint8_t> blob) : blob_(blob) {
-    if (u32_at_cursor("magic") != kCheckpointMagic) {
-      fail("bad magic (not a checkpoint blob)");
-    } else if (const std::uint32_t version = u32_at_cursor("version");
-               version != kCheckpointVersion) {
-      fail("unsupported format version " + std::to_string(version) + " (reader supports " +
-           std::to_string(kCheckpointVersion) + ")");
-    }
+  explicit StateReader(std::span<const std::uint8_t> blob)
+      : StateReader(blob, /*header=*/true) {}
+
+  /// A headerless reader over framed sections only, for a stream whose
+  /// magic/version header was checked elsewhere (the wire's FrameDecoder
+  /// opens each complete record with one). The counterpart of
+  /// StateWriter::continuation; every other rule is the same.
+  [[nodiscard]] static StateReader continuation(std::span<const std::uint8_t> sections) {
+    return StateReader(sections, /*header=*/false);
   }
 
   [[nodiscard]] bool ok() const { return ok_; }
@@ -324,6 +333,17 @@ class StateReader {
   }
 
  private:
+  StateReader(std::span<const std::uint8_t> blob, bool header) : blob_(blob) {
+    if (!header) return;
+    if (u32_at_cursor("magic") != kCheckpointMagic) {
+      fail("bad magic (not a checkpoint blob)");
+    } else if (const std::uint32_t version = u32_at_cursor("version");
+               version != kCheckpointVersion) {
+      fail("unsupported format version " + std::to_string(version) + " (reader supports " +
+           std::to_string(kCheckpointVersion) + ")");
+    }
+  }
+
   /// The `n`-byte (n <= 8) little-endian integer at `p`; 0 for a
   /// refused read.
   static std::uint64_t le(const std::uint8_t* p, std::size_t n) {

@@ -56,22 +56,6 @@ FirCoefficients design_lowpass(std::size_t order, double cutoff_hz, SampleRate f
   return FirCoefficients{std::move(h)};
 }
 
-FirCoefficients design_highpass(std::size_t order, double cutoff_hz, SampleRate fs,
-                                WindowKind window) {
-  if (order % 2 != 0)
-    ICGKIT_THROW(std::invalid_argument("fir design: high-pass requires even order"));
-  // Spectral inversion requires the low-pass to have *exactly* unity DC
-  // gain, otherwise the inverted filter leaks DC.
-  Signal h = lowpass_taps(order, cutoff_hz, fs, window);
-  normalize_gain_at(h, 0.0, fs);
-  for (auto& tap : h) tap = -tap;
-  h[order / 2] += 1.0;
-  FirCoefficients fir{std::move(h)};
-  // Normalize at Nyquist so the passband gain is exactly 1 (DC stays 0).
-  normalize_gain_at(fir.taps, fs / 2.0, fs);
-  return fir;
-}
-
 FirCoefficients design_bandpass(std::size_t order, double f1_hz, double f2_hz, SampleRate fs,
                                 WindowKind window) {
   if (order % 2 != 0)

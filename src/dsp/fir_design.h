@@ -27,11 +27,6 @@ struct FirCoefficients {
 FirCoefficients design_lowpass(std::size_t order, double cutoff_hz, SampleRate fs,
                                WindowKind window = WindowKind::Hamming);
 
-/// High-pass by spectral inversion of the complementary low-pass.
-/// Requires even order so the Nyquist-region response is well defined.
-FirCoefficients design_highpass(std::size_t order, double cutoff_hz, SampleRate fs,
-                                WindowKind window = WindowKind::Hamming);
-
 /// Band-pass windowed-sinc design (difference of two unity-DC low-pass
 /// sincs; DC gain is exactly 0). Requires even order. Passband gain
 /// normalized to 1 at the arithmetic center (f1+f2)/2, following the

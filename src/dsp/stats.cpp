@@ -125,12 +125,6 @@ LineFit fit_line(SignalView x, SignalView y) {
   return fit;
 }
 
-LineFit fit_line_indexed(SignalView y) {
-  Signal idx(y.size());
-  for (std::size_t i = 0; i < y.size(); ++i) idx[i] = static_cast<double>(i);
-  return fit_line(idx, y);
-}
-
 double relative_error(double a, double b) {
   if (a == 0.0) return 0.0;
   return (a - b) / a;

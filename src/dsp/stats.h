@@ -65,9 +65,6 @@ struct LineFit {
 /// Least-squares fit of y over x (sizes must match, >= 2 points).
 LineFit fit_line(SignalView x, SignalView y);
 
-/// Least-squares fit of y over sample indices [0, n).
-LineFit fit_line_indexed(SignalView y);
-
 /// Relative error (a - b)/a as used in the paper's equations (1)-(3).
 /// Returns 0 when a == 0.
 double relative_error(double a, double b);

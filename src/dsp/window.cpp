@@ -1,6 +1,5 @@
 #include "dsp/window.h"
 
-#include <cassert>
 #include <cmath>
 #include <numbers>
 
@@ -38,11 +37,6 @@ Signal make_window(WindowKind kind, std::size_t n) {
       return cosine_window(n, 0.42, 0.5, 0.08);
   }
   return Signal(n, 1.0); // unreachable for valid enum values
-}
-
-void apply_window(Signal& x, SignalView window) {
-  assert(x.size() == window.size());
-  for (std::size_t i = 0; i < x.size(); ++i) x[i] *= window[i];
 }
 
 } // namespace icgkit::dsp

@@ -19,7 +19,4 @@ enum class WindowKind {
 /// n == 0 returns an empty signal; n == 1 returns {1.0}.
 Signal make_window(WindowKind kind, std::size_t n);
 
-/// Multiplies `x` by the window in place. Window length must equal x.size().
-void apply_window(Signal& x, SignalView window);
-
 } // namespace icgkit::dsp

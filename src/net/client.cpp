@@ -55,16 +55,17 @@ bool FleetClient::connect_loopback(std::uint16_t port, bool want_acks) {
   for (;;) {
     while (decoder_.next(f)) {
       if (std::memcmp(f.tag, kTagHello, 4) == 0) {
-        PayloadReader r(f.payload);
-        server_hello_ = decode_hello(r);
+        server_hello_ = decode_hello(f.reader);
+        end_record(f.reader);
         if (server_hello_.version != kWireVersion)
           throw WireError("server speaks wire version " +
                           std::to_string(server_hello_.version));
         return true;
       }
       if (std::memcmp(f.tag, kTagError, 4) == 0) {
-        PayloadReader r(f.payload);
-        throw WireError("server refused handshake: " + decode_error(r).message);
+        const WireErrorRecord e = decode_error(f.reader);
+        end_record(f.reader);
+        throw WireError("server refused handshake: " + e.message);
       }
       throw WireError(std::string("unexpected record '") + f.tag +
                       "' before server HELO");
@@ -157,49 +158,40 @@ void FleetClient::bye() {
   send_all(sendbuf_);
 }
 
-ClientEvent FleetClient::decode_event(const Frame& f) {
+ClientEvent FleetClient::decode_event(Frame& f) {
   ClientEvent ev;
-  PayloadReader r(f.payload);
+  core::StateReader& r = f.reader;
   if (std::memcmp(f.tag, kTagBeat, 4) == 0) {
     ev.type = ClientEvent::Type::Beat;
     ev.stream = r.u32();
     ev.beat = decode_beat(r);
-    r.expect_end();
   } else if (std::memcmp(f.tag, kTagChunkAck, 4) == 0) {
     ev.type = ClientEvent::Type::ChunkAck;
     ev.stream = r.u32();
     ev.count = r.u64();
-    r.expect_end();
   } else if (std::memcmp(f.tag, kTagQuality, 4) == 0) {
     ev.type = ClientEvent::Type::Quality;
     ev.stream = r.u32();
     ev.quality = decode_quality(r);
-    r.expect_end();
   } else if (std::memcmp(f.tag, kTagOpenAck, 4) == 0) {
     ev.type = ClientEvent::Type::OpenAck;
     ev.stream = r.u32();
     ev.status = r.u32();
     ev.worker = r.u32();
-    r.expect_end();
   } else if (std::memcmp(f.tag, kTagShed, 4) == 0) {
     ev.type = ClientEvent::Type::Shed;
     ev.stream = r.u32();
     ev.shed_reason = r.u32();
     ev.count = r.u64();
-    r.expect_end();
   } else if (std::memcmp(f.tag, kTagRecordAck, 4) == 0) {
     ev.type = ClientEvent::Type::RecordAck;
     ev.stream = r.u32();
     ev.status = r.u32();
-    r.expect_end();
   } else if (std::memcmp(f.tag, kTagRecordData, 4) == 0) {
     ev.type = ClientEvent::Type::RecordData;
     ev.stream = r.u32();
-    const std::uint32_t len = r.u32();
-    if (len != r.remaining()) throw WireError("RECD length disagrees with frame");
-    const auto b = r.bytes(len);
+    const auto b = r.bytes(r.u32());
     ev.blob.assign(b.begin(), b.end());
-    r.expect_end();
   } else if (std::memcmp(f.tag, kTagStatReply, 4) == 0) {
     ev.type = ClientEvent::Type::Stats;
     ev.stats = decode_stats(r);
@@ -210,6 +202,7 @@ ClientEvent FleetClient::decode_event(const Frame& f) {
   } else {
     throw WireError(std::string("unknown server record '") + f.tag + "'");
   }
+  end_record(r);
   return ev;
 }
 

@@ -116,7 +116,7 @@ class FleetClient {
  private:
   void send_all(const std::vector<std::uint8_t>& bytes);
   bool drain_decoder(std::vector<ClientEvent>& out);
-  static ClientEvent decode_event(const Frame& f);
+  static ClientEvent decode_event(Frame& f);
 
   int fd_ = -1;
   bool eof_ = false;

@@ -270,8 +270,8 @@ FleetServer::Stream* FleetServer::find_stream(Connection& c, std::uint32_t strea
   return it == c.streams.end() ? nullptr : it->second.get();
 }
 
-void FleetServer::handle_frame(Connection& c, const Frame& f) {
-  PayloadReader r(f.payload);
+void FleetServer::handle_frame(Connection& c, Frame& f) {
+  core::StateReader& r = f.reader;
   if (!c.hello_done) {
     if (std::memcmp(f.tag, kTagHello, 4) != 0) {
       send_error(c, WireErrorCode::Protocol, kNoStream,
@@ -279,6 +279,7 @@ void FleetServer::handle_frame(Connection& c, const Frame& f) {
       return;
     }
     const Hello h = decode_hello(r);
+    end_record(r);
     if (h.version != kWireVersion) {
       send_error(c, WireErrorCode::VersionMismatch, kNoStream,
                  "client speaks wire version " + std::to_string(h.version),
@@ -295,7 +296,7 @@ void FleetServer::handle_frame(Connection& c, const Frame& f) {
     handle_open(c, r);
   } else if (std::memcmp(f.tag, kTagClose, 4) == 0) {
     const std::uint32_t stream_id = r.u32();
-    r.expect_end();
+    end_record(r);
     Stream* st = find_stream(c, stream_id);
     if (st == nullptr) {
       send_error(c, WireErrorCode::UnknownStream, stream_id, "CLSE", false);
@@ -305,7 +306,7 @@ void FleetServer::handle_frame(Connection& c, const Frame& f) {
   } else if (std::memcmp(f.tag, kTagRecordStart, 4) == 0) {
     const std::uint32_t stream_id = r.u32();
     const std::uint64_t interval = r.u64();
-    r.expect_end();
+    end_record(r);
     Stream* st = find_stream(c, stream_id);
     std::uint32_t status = 0;
     if (st == nullptr) {
@@ -327,7 +328,7 @@ void FleetServer::handle_frame(Connection& c, const Frame& f) {
     rb_.finish(c.outbuf);
   } else if (std::memcmp(f.tag, kTagRecordStop, 4) == 0) {
     const std::uint32_t stream_id = r.u32();
-    r.expect_end();
+    end_record(r);
     Stream* st = find_stream(c, stream_id);
     if (st == nullptr || !st->handle.recording()) {
       send_error(c, WireErrorCode::Protocol, stream_id, "RECX without recording",
@@ -346,12 +347,12 @@ void FleetServer::handle_frame(Connection& c, const Frame& f) {
     w.bytes(blob.data(), blob.size());
     rb_.finish(c.outbuf);
   } else if (std::memcmp(f.tag, kTagStatRequest, 4) == 0) {
-    r.expect_end();
+    end_record(r);
     core::StateWriter& w = rb_.begin(kTagStatReply);
     encode_stats(w, stats());
     rb_.finish(c.outbuf);
   } else if (std::memcmp(f.tag, kTagBye, 4) == 0) {
-    r.expect_end();
+    end_record(r);
     c.closing = true;
     for (const auto& [id, st] : c.streams) st->finish_requested = true;
   } else {
@@ -360,9 +361,9 @@ void FleetServer::handle_frame(Connection& c, const Frame& f) {
   }
 }
 
-void FleetServer::handle_open(Connection& c, PayloadReader& r) {
+void FleetServer::handle_open(Connection& c, core::StateReader& r) {
   const std::uint32_t stream_id = r.u32();
-  r.expect_end();
+  end_record(r);
   std::uint32_t status = 0;
   std::uint32_t worker = 0;
   if (find_stream(c, stream_id) != nullptr) {
@@ -386,7 +387,7 @@ void FleetServer::handle_open(Connection& c, PayloadReader& r) {
   rb_.finish(c.outbuf);
 }
 
-void FleetServer::handle_chunk(Connection& c, PayloadReader& r) {
+void FleetServer::handle_chunk(Connection& c, core::StateReader& r) {
   const std::uint32_t stream_id = r.u32();
   const std::uint32_t n = r.u32();
   if (n > cfg_.fleet.max_chunk)
@@ -396,7 +397,7 @@ void FleetServer::handle_chunk(Connection& c, PayloadReader& r) {
   z_scratch_.resize(n);
   r.f64_array(ecg_scratch_.data(), n);
   r.f64_array(z_scratch_.data(), n);
-  r.expect_end();
+  end_record(r);
   Stream* st = find_stream(c, stream_id);
   if (st == nullptr) {
     send_error(c, WireErrorCode::UnknownStream, stream_id, "CHNK", false);

@@ -178,9 +178,9 @@ class FleetServer {
   void run_loop();
   void accept_pending();
   void read_connection(Connection& c);
-  void handle_frame(Connection& c, const Frame& f);
-  void handle_open(Connection& c, PayloadReader& r);
-  void handle_chunk(Connection& c, PayloadReader& r);
+  void handle_frame(Connection& c, Frame& f);
+  void handle_open(Connection& c, core::StateReader& r);
+  void handle_chunk(Connection& c, core::StateReader& r);
   void pump_pending(Connection& c);
   void pump_fleet_results();
   void maybe_rebalance();

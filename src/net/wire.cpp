@@ -1,7 +1,5 @@
 #include "net/wire.h"
 
-#include <cstring>
-
 namespace icgkit::net {
 
 namespace {
@@ -43,71 +41,26 @@ bool FrameDecoder::next(Frame& out) {
   }
   const std::size_t avail = buf_.size() - pos_;
   if (avail < 8) return false;
-  const std::uint8_t* head = buf_.data() + pos_;
-  const std::uint32_t len = le32(head + 4);
+  const std::uint32_t len = le32(buf_.data() + pos_ + 4);
   // Refuse the length before waiting for it: a hostile 4 GiB prefix
   // must not make the decoder buffer toward it.
   if (len > max_frame_)
     throw WireError("frame length " + std::to_string(len) + " exceeds bound " +
                     std::to_string(max_frame_));
-  if (avail < 8 + static_cast<std::size_t>(len) + 4) return false;
-  const std::uint8_t* payload = head + 8;
-  const std::uint32_t stored = le32(payload + len);
-  const std::uint32_t computed = core::checkpoint_crc32(payload, len);
-  if (stored != computed) throw WireError("record CRC mismatch");
-  std::memcpy(out.tag, head, 4);
-  out.tag[4] = '\0';
-  out.payload = {payload, len};
-  pos_ += 8 + static_cast<std::size_t>(len) + 4;
+  const std::size_t frame = 8 + static_cast<std::size_t>(len) + 4;
+  if (avail < frame) return false;
+  // The reader validates bounds and CRC here, before the caller
+  // dispatches on the tag. A complete frame always has a tag to peek.
+  out.reader = core::StateReader::continuation({buf_.data() + pos_, frame});
+  if (out.reader.peek_tag(out.tag)) out.reader.begin_section(out.tag);
+  if (!out.reader.ok()) throw WireError(out.reader.error());
+  pos_ += frame;
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// PayloadReader
-// ---------------------------------------------------------------------------
-
-std::uint8_t PayloadReader::u8() { return bytes(1)[0]; }
-
-std::uint32_t PayloadReader::u32() {
-  const auto b = bytes(4);
-  return le32(b.data());
-}
-
-std::uint64_t PayloadReader::u64() {
-  const auto b = bytes(8);
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | b[static_cast<std::size_t>(i)];
-  return v;
-}
-
-double PayloadReader::f64() { return std::bit_cast<double>(u64()); }
-
-void PayloadReader::f64_array(double* out, std::size_t n) {
-  if (n == 0) return;
-  const auto b = bytes(n * sizeof(double));
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(out, b.data(), n * sizeof(double));
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t v = 0;
-      for (int k = 7; k >= 0; --k)
-        v = (v << 8) | b[i * 8 + static_cast<std::size_t>(k)];
-      out[i] = std::bit_cast<double>(v);
-    }
-  }
-}
-
-std::span<const std::uint8_t> PayloadReader::bytes(std::size_t n) {
-  if (p_.size() - pos_ < n) throw WireError("payload truncated");
-  const std::span<const std::uint8_t> v = p_.subspan(pos_, n);
-  pos_ += n;
-  return v;
-}
-
-void PayloadReader::expect_end() const {
-  if (pos_ != p_.size())
-    throw WireError("payload has " + std::to_string(p_.size() - pos_) +
-                    " trailing bytes");
+void end_record(core::StateReader& r) {
+  r.end_section();
+  if (!r.ok()) throw WireError(r.error());
 }
 
 // ---------------------------------------------------------------------------
@@ -146,7 +99,7 @@ void encode_hello(core::StateWriter& w, const Hello& h) {
   w.u32(h.max_inflight);
 }
 
-Hello decode_hello(PayloadReader& r) {
+Hello decode_hello(core::StateReader& r) {
   Hello h;
   h.version = r.u32();
   h.flags = r.u32();
@@ -154,7 +107,6 @@ Hello decode_hello(PayloadReader& r) {
   h.fs_hz = r.f64();
   h.workers = r.u32();
   h.max_inflight = r.u32();
-  r.expect_end();
   return h;
 }
 
@@ -179,20 +131,19 @@ void encode_beat(core::StateWriter& w, const core::BeatRecord& rec) {
   w.f64(rec.rr_s);
 }
 
-core::BeatRecord decode_beat(PayloadReader& r) {
+core::BeatRecord decode_beat(core::StateReader& r) {
   core::BeatRecord rec;
   rec.points.r = static_cast<std::size_t>(r.u64());
   rec.points.b = static_cast<std::size_t>(r.u64());
   rec.points.c = static_cast<std::size_t>(r.u64());
   rec.points.x = static_cast<std::size_t>(r.u64());
   rec.points.b0 = static_cast<std::size_t>(r.u64());
-  const std::uint32_t method = r.u32();
-  if (method > 1) throw WireError("BEAT b_method out of range");
-  rec.points.b_method = static_cast<core::BPointMethod>(method);
+  if (const std::uint32_t method = r.u32(); method > 1)
+    r.fail("BEAT b_method out of range");
+  else
+    rec.points.b_method = static_cast<core::BPointMethod>(method);
   rec.points.c_amplitude = r.f64();
-  const std::uint8_t valid = r.u8();
-  if (valid > 1) throw WireError("BEAT valid byte is neither 0 nor 1");
-  rec.points.valid = valid == 1;
+  rec.points.valid = r.boolean();
   rec.hemo.pep_s = r.f64();
   rec.hemo.lvet_s = r.f64();
   rec.hemo.hr_bpm = r.f64();
@@ -208,7 +159,7 @@ core::BeatRecord decode_beat(PayloadReader& r) {
 
 void encode_quality(core::StateWriter& w, const core::QualitySummary& q) { q.save_state(w); }
 
-core::QualitySummary decode_quality(PayloadReader& r) {
+core::QualitySummary decode_quality(core::StateReader& r) {
   core::QualitySummary q;
   q.load_state(r);
   return q;
@@ -223,7 +174,7 @@ void encode_stats(core::StateWriter& w, const ServerStats& s) {
   w.u64(s.total_beats);
 }
 
-ServerStats decode_stats(PayloadReader& r) {
+ServerStats decode_stats(core::StateReader& r) {
   ServerStats s;
   s.sessions_open = r.u64();
   s.sessions_closed = r.u64();
@@ -231,7 +182,6 @@ ServerStats decode_stats(PayloadReader& r) {
   s.shed_chunks = r.u64();
   s.total_samples = r.u64();
   s.total_beats = r.u64();
-  r.expect_end();
   return s;
 }
 
@@ -243,15 +193,12 @@ void encode_error(core::StateWriter& w, WireErrorCode code, std::uint32_t stream
   w.bytes(reinterpret_cast<const std::uint8_t*>(message.data()), message.size());
 }
 
-WireErrorRecord decode_error(PayloadReader& r) {
+WireErrorRecord decode_error(core::StateReader& r) {
   WireErrorRecord e;
   e.code = static_cast<WireErrorCode>(r.u32());
   e.stream = r.u32();
-  const std::uint32_t len = r.u32();
-  if (len > r.remaining()) throw WireError("ERRR message truncated");
-  const auto b = r.bytes(len);
-  e.message.assign(reinterpret_cast<const char*>(b.data()), b.size());
-  r.expect_end();
+  const auto b = r.bytes(r.u32());
+  e.message.assign(b.begin(), b.end());
   return e;
 }
 

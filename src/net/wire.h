@@ -39,14 +39,19 @@
 //                connection-level errors are followed by a close
 //   BYE_  c->s   clean connection shutdown
 //
-// Robustness rules (enforced by FrameDecoder, mirrored from
-// StateReader): magic/version must match before any record is decoded;
-// a record's tag, length and CRC are validated before any payload byte
-// is interpreted; a length prefix larger than the configured frame
-// bound is refused outright (a 4 GiB allocation is not a parse); every
-// payload read is bounds-checked and trailing payload bytes are an
-// error. All violations raise WireError — never UB — and the server
-// answers them with ERRR + close. A connection that dies mid-frame
+// Robustness: core::StateReader reads the wire, as it reads checkpoints
+// and flight records. FrameDecoder only buffers, checks the stream
+// header (magic and version must match before any record is decoded)
+// and refuses a length prefix above its frame bound before it buffers
+// toward it (a 4 GiB allocation is not a parse). It opens each complete
+// record with StateReader::continuation, whose begin_section checks the
+// frame's bounds and CRC before the tag is dispatched; every payload
+// read after that is bounds-checked, and a decoder's refusal is kept by
+// the reader. WireError is raised at two points: FrameDecoder::next()
+// for the stream header and the frame, end_record() for the payload
+// (short reads, trailing bytes, decoder refusals), which every handler
+// calls before it acts on a decoded value. Never UB: the server answers
+// a WireError with ERRR + close. A connection that dies mid-frame
 // (truncation) simply never completes the frame; the accumulated bytes
 // are dropped with the connection.
 #pragma once
@@ -56,7 +61,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -136,12 +140,14 @@ struct ServerStats {
   std::uint64_t total_beats = 0;
 };
 
-/// One decoded record: tag plus a validated payload view. The view
-/// aliases the decoder's buffer and stays valid only until the next
-/// feed()/next() call.
+/// One decoded record: its tag and a reader opened on it. The reader
+/// has validated the frame (bounds, CRC) and stands at the first payload
+/// byte; it aliases the decoder's buffer and stays valid only until the
+/// next feed()/next() call. Read the payload through it, then close it
+/// with end_record() before acting on anything read.
 struct Frame {
   char tag[5] = {};
-  std::span<const std::uint8_t> payload;
+  core::StateReader reader = core::StateReader::continuation({});
 };
 
 /// Incremental frame decoder for one direction of one connection. Feed
@@ -159,8 +165,8 @@ class FrameDecoder {
   /// Appends raw bytes from the socket.
   void feed(const std::uint8_t* p, std::size_t n);
 
-  /// Decodes the next complete record, if the buffer holds one. The
-  /// returned payload view is valid until the next feed()/next().
+  /// Opens the next complete record, if the buffer holds one. The
+  /// returned reader is valid until the next feed()/next().
   bool next(Frame& out);
 
   /// True once the stream header was seen and validated.
@@ -176,29 +182,11 @@ class FrameDecoder {
   bool header_done_ = false;
 };
 
-/// Bounds-checked little-endian reads over one record's payload.
-/// Mirrors StateReader's primitives but over a raw section payload
-/// (StateReader requires a whole blob with header; wire records arrive
-/// one at a time). Every violation throws WireError.
-class PayloadReader {
- public:
-  explicit PayloadReader(std::span<const std::uint8_t> payload) : p_(payload) {}
-
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
-  double f64();
-  void f64_array(double* out, std::size_t n);
-  std::span<const std::uint8_t> bytes(std::size_t n);
-  [[nodiscard]] std::size_t remaining() const { return p_.size() - pos_; }
-  /// A payload with trailing bytes is malformed, exactly as a
-  /// checkpoint section a loader does not fully consume.
-  void expect_end() const;
-
- private:
-  std::span<const std::uint8_t> p_;
-  std::size_t pos_ = 0;
-};
+/// Closes a record read through its Frame's reader: the payload must be
+/// consumed exactly (trailing bytes are as malformed as missing ones),
+/// and the reader's first violation or decoder refusal is raised as
+/// WireError.
+void end_record(core::StateReader& r);
 
 /// Appends the 8-byte stream header to `out` (each side sends it once,
 /// immediately after connect/accept).
@@ -222,9 +210,14 @@ class RecordBuilder {
 };
 
 // --- payload codecs -------------------------------------------------------
+//
+// The decoders read their fields through the record's reader and record
+// a refusal there (StateReader::fail); none of them closes the record.
+// The caller reads whatever else the record carries (a stream id ahead
+// of a BEAT or QUAL), then calls end_record() before using the result.
 
 void encode_hello(core::StateWriter& w, const Hello& h);
-Hello decode_hello(PayloadReader& r);
+Hello decode_hello(core::StateReader& r);
 
 /// BEAT fields are exactly the determinism byte contract of
 /// core::serialize_beat (delineation points, hemodynamics, flaws, RR) —
@@ -232,13 +225,13 @@ Hello decode_hello(PayloadReader& r);
 /// A decoded beat therefore re-serializes byte-identically, which is
 /// what the loopback soak's zero-divergence check relies on.
 void encode_beat(core::StateWriter& w, const core::BeatRecord& rec);
-core::BeatRecord decode_beat(PayloadReader& r);
+core::BeatRecord decode_beat(core::StateReader& r);
 
 void encode_quality(core::StateWriter& w, const core::QualitySummary& q);
-core::QualitySummary decode_quality(PayloadReader& r);
+core::QualitySummary decode_quality(core::StateReader& r);
 
 void encode_stats(core::StateWriter& w, const ServerStats& s);
-ServerStats decode_stats(PayloadReader& r);
+ServerStats decode_stats(core::StateReader& r);
 
 /// ERRR payload: code, stream id (kNoStream when connection-level),
 /// u32-length-prefixed UTF-8 message.
@@ -249,6 +242,6 @@ struct WireErrorRecord {
   std::uint32_t stream = kNoStream;
   std::string message;
 };
-WireErrorRecord decode_error(PayloadReader& r);
+WireErrorRecord decode_error(core::StateReader& r);
 
 } // namespace icgkit::net

@@ -56,18 +56,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& r : rows_) print_row(r);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      os << cells[c];
-      if (c + 1 < cells.size()) os << ',';
-    }
-    os << '\n';
-  };
-  emit(headers_);
-  for (const auto& r : rows_) emit(r);
-}
-
 void banner(std::ostream& os, const std::string& title) {
   os << "\n== " << title << " ==\n";
 }

@@ -1,6 +1,6 @@
-// Fixed-width console tables and CSV output used by the reproduction
-// benches and examples. Deliberately tiny: rows of strings plus numeric
-// convenience setters.
+// Fixed-width console tables used by the reproduction benches and
+// examples. Deliberately tiny: rows of strings plus numeric convenience
+// setters.
 #pragma once
 
 #include <iosfwd>
@@ -22,9 +22,6 @@ class Table {
   /// Renders with column-width autosizing, a header underline and 2-space
   /// column gaps.
   void print(std::ostream& os) const;
-
-  /// Comma-separated (no quoting — cells must not contain commas).
-  void print_csv(std::ostream& os) const;
 
   [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
   [[nodiscard]] const std::vector<std::string>& header() const { return headers_; }

@@ -1,10 +1,13 @@
-// Edits one payload byte of a checkpoint blob and re-stamps that
-// section's CRC, so the edited blob passes every frame check and reaches
-// the checks a loader makes on its own section.
+// Edits one payload byte of a framed stream and frames that section anew
+// through StateWriter, so the edited stream passes every frame check and
+// reaches the checks a loader or a wire decoder makes on its own section.
+// Both streams it serves start with an 8-byte header: a checkpoint blob's
+// magic/version, or the wire's "ICGW" stream header.
 #pragma once
 
 #include "core/checkpoint.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -13,7 +16,7 @@
 
 namespace icgkit::test {
 
-/// One section of a checkpoint blob: its tag and where its payload lies.
+/// One section of a framed stream: its tag and where its payload lies.
 struct BlobSection {
   std::string tag;
   std::size_t payload = 0;  ///< offset of the first payload byte
@@ -36,16 +39,23 @@ inline std::vector<BlobSection> blob_sections(const std::vector<std::uint8_t>& b
 }
 
 /// `blob` with payload byte `offset` of section `tag` XORed with `mask`
-/// and the section's CRC recomputed.
+/// and the section framed anew by StateWriter, so its CRC follows the
+/// one rule core/checkpoint.h sets for what a frame's CRC covers.
 inline std::vector<std::uint8_t> restamped(std::vector<std::uint8_t> blob,
                                            const std::string& tag, std::size_t offset,
                                            std::uint8_t mask) {
   for (const BlobSection& s : blob_sections(blob)) {
     if (s.tag != tag) continue;
     blob.at(s.payload + offset) ^= mask;
-    const std::uint32_t crc = core::checkpoint_crc32(blob.data() + s.payload, s.len);
-    for (std::size_t i = 0; i < 4; ++i)
-      blob[s.payload + s.len + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+    char section[5] = {};
+    tag.copy(section, 4);
+    core::StateWriter w = core::StateWriter::continuation();
+    w.begin_section(section);
+    w.bytes(blob.data() + s.payload, s.len);
+    w.end_section();
+    const std::vector<std::uint8_t> framed = w.take();
+    std::copy(framed.begin(), framed.end(),
+              blob.begin() + static_cast<std::ptrdiff_t>(s.payload - 8));
     return blob;
   }
   throw std::invalid_argument("restamped: no section '" + tag + "'");

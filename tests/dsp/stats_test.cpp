@@ -118,13 +118,6 @@ TEST(StatsTest, FitLineFlatHasNoZeroCrossing) {
   EXPECT_FALSE(fit.zero_crossing().has_value());
 }
 
-TEST(StatsTest, FitLineIndexed) {
-  const Signal y{1.0, 2.0, 3.0, 4.0};
-  const LineFit fit = fit_line_indexed(y);
-  EXPECT_NEAR(fit.slope, 1.0, 1e-12);
-  EXPECT_NEAR(fit.intercept, 1.0, 1e-12);
-}
-
 TEST(StatsTest, FitLineNeedsTwoPoints) {
   EXPECT_THROW(fit_line(Signal{1.0}, Signal{1.0}), std::invalid_argument);
 }

@@ -62,14 +62,5 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, WindowSymmetryTest,
                          ::testing::Values(WindowKind::Rectangular, WindowKind::Hamming,
                                            WindowKind::Hann, WindowKind::Blackman));
 
-TEST(WindowTest, ApplyWindowMultiplies) {
-  Signal x{1.0, 2.0, 3.0};
-  const Signal w{0.5, 1.0, 2.0};
-  apply_window(x, w);
-  EXPECT_DOUBLE_EQ(x[0], 0.5);
-  EXPECT_DOUBLE_EQ(x[1], 2.0);
-  EXPECT_DOUBLE_EQ(x[2], 6.0);
-}
-
 } // namespace
 } // namespace icgkit::dsp

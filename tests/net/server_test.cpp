@@ -136,7 +136,7 @@ struct RawConn {
       net::Frame f;
       while (decoder.next(f)) {
         if (std::memcmp(f.tag, net::kTagError, 4) != 0) continue;
-        net::PayloadReader r(f.payload);
+        core::StateReader& r = f.reader;
         errors.push_back(net::decode_error(r));
       }
     }

@@ -1,15 +1,18 @@
-// Hostile wire input: the FrameDecoder/PayloadReader refusal contract.
+// Hostile wire input: the refusal contract of FrameDecoder and of the
+// core::StateReader it opens each record with.
 //
 // Every structurally invalid byte stream — truncated frames, flipped
 // CRC bytes, oversized length prefixes, bad magic, wrong versions,
 // malformed payloads — must raise WireError, never UB. This binary
 // runs under the Debug ASan/UBSan CI entry, which is what turns "reads
-// past the buffer" from a latent bug into a test failure.
+// past the buffer" from a latent bug into a test failure. A v1
+// transcript pins the wire's bytes.
 #include "net/wire.h"
 
 #include "core/beat_serializer.h"
 #include "core/flight_recorder.h"
 #include "core/pipeline.h"
+#include "common/restamp.h"
 
 #include <gtest/gtest.h>
 
@@ -21,7 +24,6 @@ namespace {
 using namespace icgkit;
 using net::Frame;
 using net::FrameDecoder;
-using net::PayloadReader;
 using net::RecordBuilder;
 using net::WireError;
 
@@ -41,6 +43,24 @@ std::vector<std::uint8_t> hello_stream() {
   return out;
 }
 
+/// The stream header and one `tag` record carrying `payload` verbatim
+/// under a valid CRC: how a test frames a lying payload.
+std::vector<std::uint8_t> record_stream(const char (&tag)[5],
+                                        const std::vector<std::uint8_t>& payload) {
+  std::vector<std::uint8_t> out;
+  net::write_stream_header(out);
+  RecordBuilder rb;
+  rb.begin(tag).bytes(payload.data(), payload.size());
+  rb.finish(out);
+  return out;
+}
+
+/// Feeds `stream` to `dec` and opens its first record into `f`.
+void open_first(FrameDecoder& dec, const std::vector<std::uint8_t>& stream, Frame& f) {
+  dec.feed(stream.data(), stream.size());
+  ASSERT_TRUE(dec.next(f));
+}
+
 TEST(WireTest, RoundTripsAFrame) {
   const auto bytes = hello_stream();
   FrameDecoder dec(kBound);
@@ -48,8 +68,8 @@ TEST(WireTest, RoundTripsAFrame) {
   Frame f;
   ASSERT_TRUE(dec.next(f));
   EXPECT_STREQ(f.tag, net::kTagHello);
-  PayloadReader r(f.payload);
-  const net::Hello h = net::decode_hello(r);
+  const net::Hello h = net::decode_hello(f.reader);
+  net::end_record(f.reader);
   EXPECT_EQ(h.version, net::kWireVersion);
   EXPECT_EQ(h.flags, net::kHelloWantAcks);
   EXPECT_EQ(h.max_chunk, 64u);
@@ -148,20 +168,48 @@ TEST(WireTest, WrongStreamVersionIsRefused) {
 }
 
 TEST(WireTest, PayloadReaderBoundsEveryRead) {
-  const std::vector<std::uint8_t> four = {1, 2, 3, 4};
-  PayloadReader r{{four.data(), four.size()}};
-  EXPECT_EQ(r.u32(), 0x04030201u);
-  EXPECT_THROW(r.u8(), WireError);  // exhausted
-
-  PayloadReader r2{{four.data(), four.size()}};
-  EXPECT_THROW(r2.u64(), WireError);  // 8 > 4
-  double d[2];
-  PayloadReader r3{{four.data(), four.size()}};
-  EXPECT_THROW(r3.f64_array(d, 2), WireError);
-
-  PayloadReader r4{{four.data(), four.size()}};
-  r4.u8();
-  EXPECT_THROW(r4.expect_end(), WireError);  // 3 trailing bytes
+  // A record's reader bounds every read by its payload: a read past the
+  // end reads zero and is kept, and end_record() raises it, as it does
+  // for bytes left unread.
+  const auto four = record_stream(net::kTagClose, {1, 2, 3, 4});
+  {
+    FrameDecoder dec(kBound);
+    Frame f;
+    open_first(dec, four, f);
+    EXPECT_EQ(f.reader.u32(), 0x04030201u);
+    EXPECT_NO_THROW(net::end_record(f.reader));
+  }
+  {
+    FrameDecoder dec(kBound);
+    Frame f;
+    open_first(dec, four, f);
+    EXPECT_EQ(f.reader.u32(), 0x04030201u);
+    EXPECT_EQ(f.reader.u8(), 0u);  // exhausted
+    EXPECT_THROW(net::end_record(f.reader), WireError);
+  }
+  {
+    FrameDecoder dec(kBound);
+    Frame f;
+    open_first(dec, four, f);
+    EXPECT_EQ(f.reader.u64(), 0u);  // 8 > 4
+    EXPECT_THROW(net::end_record(f.reader), WireError);
+  }
+  {
+    FrameDecoder dec(kBound);
+    Frame f;
+    open_first(dec, four, f);
+    double d[2] = {1.0, 1.0};
+    f.reader.f64_array(d, 2);
+    EXPECT_EQ(d[0], 0.0);
+    EXPECT_THROW(net::end_record(f.reader), WireError);
+  }
+  {
+    FrameDecoder dec(kBound);
+    Frame f;
+    open_first(dec, four, f);
+    f.reader.u8();
+    EXPECT_THROW(net::end_record(f.reader), WireError);  // 3 trailing bytes
+  }
 }
 
 TEST(WireTest, MalformedBeatPayloadIsRefused) {
@@ -169,54 +217,42 @@ TEST(WireTest, MalformedBeatPayloadIsRefused) {
   // and bool fields must be refused by the codec, not cast blindly.
   core::BeatRecord rec;
   rec.points.valid = true;
-  RecordBuilder rb;
-  std::vector<std::uint8_t> out;
-
+  core::StateWriter w = core::StateWriter::continuation();
+  net::encode_beat(w, rec);
+  const std::vector<std::uint8_t> payload = w.take();
   {
-    core::StateWriter& w = rb.begin(net::kTagBeat);
-    net::encode_beat(w, rec);
-    rb.finish(out);
-  }
-  FrameDecoder dec(kBound);
-  // Records after the stream header only; build a full stream.
-  std::vector<std::uint8_t> stream;
-  net::write_stream_header(stream);
-  stream.insert(stream.end(), out.begin(), out.end());
-  dec.feed(stream.data(), stream.size());
-  Frame f;
-  ASSERT_TRUE(dec.next(f));
-  {
-    PayloadReader r(f.payload);
-    const core::BeatRecord back = net::decode_beat(r);
-    r.expect_end();
+    FrameDecoder dec(kBound);
+    Frame f;
+    open_first(dec, record_stream(net::kTagBeat, payload), f);
+    const core::BeatRecord back = net::decode_beat(f.reader);
+    net::end_record(f.reader);
     EXPECT_TRUE(back.points.valid);
   }
 
-  // Corrupt the b_method u32 (offset 40 in the payload: five u64s).
-  std::vector<std::uint8_t> evil(f.payload.begin(), f.payload.end());
-  evil[40] = 7;
-  PayloadReader r(std::span<const std::uint8_t>(evil.data(), evil.size()));
-  EXPECT_THROW(net::decode_beat(r), WireError);
+  // Corrupt the b_method u32 (offset 40 in the payload: five u64s), then
+  // the valid byte (after b_method and the f64 C amplitude).
+  for (const std::size_t at : {std::size_t{40}, std::size_t{52}}) {
+    std::vector<std::uint8_t> evil = payload;
+    evil[at] = 7;
+    FrameDecoder dec(kBound);
+    Frame f;
+    open_first(dec, record_stream(net::kTagBeat, evil), f);
+    net::decode_beat(f.reader);
+    EXPECT_THROW(net::end_record(f.reader), WireError) << "byte " << at;
+  }
 }
 
 TEST(WireTest, TruncatedErrorMessageIsRefused) {
-  RecordBuilder rb;
-  std::vector<std::uint8_t> out;
-  net::encode_error(rb.begin(net::kTagError), net::WireErrorCode::BadFrame,
-                    net::kNoStream, "boom");
-  rb.finish(out);
-  std::vector<std::uint8_t> stream;
-  net::write_stream_header(stream);
-  stream.insert(stream.end(), out.begin(), out.end());
-  FrameDecoder dec(kBound);
-  dec.feed(stream.data(), stream.size());
-  Frame f;
-  ASSERT_TRUE(dec.next(f));
+  core::StateWriter w = core::StateWriter::continuation();
+  net::encode_error(w, net::WireErrorCode::BadFrame, net::kNoStream, "boom");
+  std::vector<std::uint8_t> evil = w.take();
   // Claim a message longer than the payload carries.
-  std::vector<std::uint8_t> evil(f.payload.begin(), f.payload.end());
   evil[8] = 0xFF;  // message-length u32 low byte (code u32 + stream u32 first)
-  PayloadReader r(std::span<const std::uint8_t>(evil.data(), evil.size()));
-  EXPECT_THROW(net::decode_error(r), WireError);
+  FrameDecoder dec(kBound);
+  Frame f;
+  open_first(dec, record_stream(net::kTagError, evil), f);
+  net::decode_error(f.reader);
+  EXPECT_THROW(net::end_record(f.reader), WireError);
 }
 
 TEST(WireTest, BeatCodecPreservesSerializeBeatBytes) {
@@ -239,9 +275,8 @@ TEST(WireTest, BeatCodecPreservesSerializeBeatBytes) {
   dec.feed(framed.data(), framed.size());
   Frame f;
   ASSERT_TRUE(dec.next(f));
-  PayloadReader r(f.payload);
-  const core::BeatRecord back = net::decode_beat(r);
-  r.expect_end();
+  const core::BeatRecord back = net::decode_beat(f.reader);
+  net::end_record(f.reader);
 
   std::vector<unsigned char> a, b;
   core::serialize_beat(rec, a);
@@ -279,21 +314,250 @@ TEST(WireTest, QualityAndStatsCodecsRoundTrip) {
   Frame f;
   ASSERT_TRUE(dec.next(f));
   {
-    PayloadReader r(f.payload);
-    const core::QualitySummary back = net::decode_quality(r);
-    r.expect_end();
+    const core::QualitySummary back = net::decode_quality(f.reader);
+    net::end_record(f.reader);
     EXPECT_TRUE(core::summaries_identical(q, back));
   }
   ASSERT_TRUE(dec.next(f));
   {
-    PayloadReader r(f.payload);
-    const net::ServerStats back = net::decode_stats(r);
+    const net::ServerStats back = net::decode_stats(f.reader);
+    net::end_record(f.reader);
     EXPECT_EQ(back.sessions_closed, 97u);
     EXPECT_EQ(back.migrations, 5u);
     EXPECT_EQ(back.shed_chunks, 11u);
     EXPECT_EQ(back.total_samples, 1u << 20);
     EXPECT_EQ(back.total_beats, 4242u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The v1 transcript: the stream header, one record per shared codec and a
+// 64-sample CHNK, all from fixed values. Its length and CRC-32 pin the
+// version-1 bytes: a change to them is a wire format change, which bumps
+// kWireVersion and these constants together.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kV1TranscriptBytes = 1477;
+constexpr std::uint32_t kV1TranscriptCrc = 0x23025743u;
+
+constexpr std::uint32_t kStream = 7;
+constexpr std::uint32_t kChunkSamples = 64;
+
+net::Hello transcript_hello() {
+  net::Hello h;
+  h.flags = net::kHelloWantAcks;
+  h.max_chunk = 64;
+  h.fs_hz = 250.0;
+  h.workers = 4;
+  h.max_inflight = 8;
+  return h;
+}
+
+core::BeatRecord transcript_beat() {
+  core::BeatRecord rec;
+  rec.points = {101, 113, 127, 160, 110, core::BPointMethod::ZeroCrossing, -0.25, true};
+  rec.hemo = {0.1, 0.3, 62.5, 1.5, 80.0, 75.0, 5.0, 25.0};
+  rec.flaws = static_cast<core::BeatFlaw>(0b101);
+  rec.rr_s = 0.96;
+  return rec;
+}
+
+core::QualitySummary transcript_quality() {
+  core::QualitySummary q;
+  q.beats = 120;
+  q.usable = 100;
+  q.flaw_counts[2] = 7;
+  q.ecg_dropouts = 2;
+  q.detector_resets = 1;
+  q.snr_beats = 90;
+  q.sum_snr_db = 1234.5;
+  q.min_snr_db = 3.25;
+  return q;
+}
+
+net::ServerStats transcript_stats() {
+  net::ServerStats s;
+  s.sessions_open = 3;
+  s.sessions_closed = 97;
+  s.migrations = 5;
+  s.shed_chunks = 11;
+  s.total_samples = 1u << 20;
+  s.total_beats = 4242;
+  return s;
+}
+
+// Dyadic sample values: exact however the compiler evaluates them.
+double transcript_ecg(std::size_t i) { return (static_cast<double>(i) - 32.0) / 64.0; }
+double transcript_z(std::size_t i) { return 25.0 + static_cast<double>(i) / 128.0; }
+
+std::vector<std::uint8_t> v1_transcript() {
+  std::vector<std::uint8_t> out;
+  net::write_stream_header(out);
+  RecordBuilder rb;
+  net::encode_hello(rb.begin(net::kTagHello), transcript_hello());
+  rb.finish(out);
+  core::StateWriter& beat = rb.begin(net::kTagBeat);
+  beat.u32(kStream);
+  net::encode_beat(beat, transcript_beat());
+  rb.finish(out);
+  core::StateWriter& qual = rb.begin(net::kTagQuality);
+  qual.u32(kStream);
+  net::encode_quality(qual, transcript_quality());
+  rb.finish(out);
+  net::encode_stats(rb.begin(net::kTagStatReply), transcript_stats());
+  rb.finish(out);
+  net::encode_error(rb.begin(net::kTagError), net::WireErrorCode::UnknownStream, kStream,
+                    "CHNK");
+  rb.finish(out);
+  core::StateWriter& chunk = rb.begin(net::kTagChunk);
+  chunk.u32(kStream);
+  chunk.u32(kChunkSamples);
+  for (std::size_t i = 0; i < kChunkSamples; ++i) chunk.f64(transcript_ecg(i));
+  for (std::size_t i = 0; i < kChunkSamples; ++i) chunk.f64(transcript_z(i));
+  rb.finish(out);
+  return out;
+}
+
+TEST(WireTest, V1TranscriptIsPinnedAndDecodes) {
+  ASSERT_EQ(net::kWireVersion, 1u);
+  const std::vector<std::uint8_t> bytes = v1_transcript();
+  EXPECT_EQ(bytes.size(), kV1TranscriptBytes);
+  EXPECT_EQ(core::checkpoint_crc32(bytes.data(), bytes.size()), kV1TranscriptCrc);
+
+  FrameDecoder dec(kBound);
+  dec.feed(bytes.data(), bytes.size());
+  Frame f;
+
+  ASSERT_TRUE(dec.next(f));
+  ASSERT_STREQ(f.tag, net::kTagHello);
+  {
+    const net::Hello h = net::decode_hello(f.reader);
+    net::end_record(f.reader);
+    EXPECT_EQ(h.version, net::kWireVersion);
+    EXPECT_EQ(h.flags, net::kHelloWantAcks);
+    EXPECT_EQ(h.max_chunk, 64u);
+    EXPECT_EQ(h.fs_hz, 250.0);
+    EXPECT_EQ(h.workers, 4u);
+    EXPECT_EQ(h.max_inflight, 8u);
+  }
+
+  ASSERT_TRUE(dec.next(f));
+  ASSERT_STREQ(f.tag, net::kTagBeat);
+  {
+    EXPECT_EQ(f.reader.u32(), kStream);
+    const core::BeatRecord back = net::decode_beat(f.reader);
+    net::end_record(f.reader);
+    std::vector<unsigned char> a, b;
+    core::serialize_beat(transcript_beat(), a);
+    core::serialize_beat(back, b);
+    EXPECT_EQ(a, b);
+  }
+
+  ASSERT_TRUE(dec.next(f));
+  ASSERT_STREQ(f.tag, net::kTagQuality);
+  {
+    EXPECT_EQ(f.reader.u32(), kStream);
+    const core::QualitySummary back = net::decode_quality(f.reader);
+    net::end_record(f.reader);
+    EXPECT_TRUE(core::summaries_identical(transcript_quality(), back));
+  }
+
+  ASSERT_TRUE(dec.next(f));
+  ASSERT_STREQ(f.tag, net::kTagStatReply);
+  {
+    const net::ServerStats s = net::decode_stats(f.reader);
+    net::end_record(f.reader);
+    const net::ServerStats want = transcript_stats();
+    EXPECT_EQ(s.sessions_open, want.sessions_open);
+    EXPECT_EQ(s.sessions_closed, want.sessions_closed);
+    EXPECT_EQ(s.migrations, want.migrations);
+    EXPECT_EQ(s.shed_chunks, want.shed_chunks);
+    EXPECT_EQ(s.total_samples, want.total_samples);
+    EXPECT_EQ(s.total_beats, want.total_beats);
+  }
+
+  ASSERT_TRUE(dec.next(f));
+  ASSERT_STREQ(f.tag, net::kTagError);
+  {
+    const net::WireErrorRecord e = net::decode_error(f.reader);
+    net::end_record(f.reader);
+    EXPECT_EQ(e.code, net::WireErrorCode::UnknownStream);
+    EXPECT_EQ(e.stream, kStream);
+    EXPECT_EQ(e.message, "CHNK");
+  }
+
+  ASSERT_TRUE(dec.next(f));
+  ASSERT_STREQ(f.tag, net::kTagChunk);
+  {
+    EXPECT_EQ(f.reader.u32(), kStream);
+    ASSERT_EQ(f.reader.u32(), kChunkSamples);
+    std::vector<double> ecg(kChunkSamples), z(kChunkSamples);
+    f.reader.f64_array(ecg.data(), ecg.size());
+    f.reader.f64_array(z.data(), z.size());
+    net::end_record(f.reader);
+    for (std::size_t i = 0; i < kChunkSamples; ++i) {
+      EXPECT_EQ(ecg[i], transcript_ecg(i)) << i;
+      EXPECT_EQ(z[i], transcript_z(i)) << i;
+    }
+  }
+
+  EXPECT_FALSE(dec.next(f));
+  EXPECT_EQ(dec.buffered(), 0u);
+}
+
+/// Reads one transcript record through the public decoders and closes
+/// it, so any refusal surfaces as WireError.
+void decode_record(Frame& f) {
+  core::StateReader& r = f.reader;
+  if (std::strcmp(f.tag, net::kTagHello) == 0) {
+    net::decode_hello(r);
+  } else if (std::strcmp(f.tag, net::kTagBeat) == 0) {
+    r.u32();
+    net::decode_beat(r);
+  } else if (std::strcmp(f.tag, net::kTagQuality) == 0) {
+    r.u32();
+    net::decode_quality(r);
+  } else if (std::strcmp(f.tag, net::kTagStatReply) == 0) {
+    net::decode_stats(r);
+  } else if (std::strcmp(f.tag, net::kTagError) == 0) {
+    net::decode_error(r);
+  }
+  net::end_record(r);
+}
+
+TEST(WireTest, EveryRestampedPayloadByteDecodesOrIsRefused) {
+  // The wire twin of CheckpointRestampTest: each payload byte of each
+  // record the public decoders read takes every other value under a
+  // re-stamped CRC, so the frame checks pass and the decoders' own
+  // checks see the edit. Each case decodes or raises WireError.
+  const std::vector<std::uint8_t> transcript = v1_transcript();
+  std::size_t decoded = 0, refused = 0;
+  for (const test::BlobSection& sec : test::blob_sections(transcript)) {
+    if (sec.tag == net::kTagChunk) continue;  // no public decoder
+    // The stream header and this one record.
+    std::vector<std::uint8_t> record(transcript.begin(), transcript.begin() + 8);
+    record.insert(record.end(),
+                  transcript.begin() + static_cast<std::ptrdiff_t>(sec.payload - 8),
+                  transcript.begin() + static_cast<std::ptrdiff_t>(sec.payload + sec.len + 4));
+    for (std::size_t off = 0; off < sec.len; ++off) {
+      for (unsigned mask = 1; mask < 256; ++mask) {
+        const std::vector<std::uint8_t> bytes =
+            test::restamped(record, sec.tag, off, static_cast<std::uint8_t>(mask));
+        FrameDecoder dec(kBound);
+        dec.feed(bytes.data(), bytes.size());
+        Frame f;
+        try {
+          ASSERT_TRUE(dec.next(f)) << sec.tag << " byte " << off;
+          decode_record(f);
+          ++decoded;
+        } catch (const WireError&) {
+          ++refused;
+        }
+      }
+    }
+  }
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 } // namespace

@@ -1,16 +1,9 @@
-#include "platform/adc.h"
 #include "platform/components.h"
 #include "platform/mcu.h"
-#include "platform/pmu.h"
 #include "platform/power_model.h"
 #include "platform/radio.h"
 
-#include "dsp/stats.h"
-#include "synth/ecg_synth.h"
-
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 namespace icgkit::platform {
 namespace {
@@ -79,64 +72,6 @@ TEST(PowerModelTest, RejectsBadInput) {
   duty.mcu_active = 1.5;
   EXPECT_THROW(PowerModel{duty}, std::invalid_argument);
   EXPECT_THROW((void)PowerModel{}.battery_life_hours(-1.0), std::invalid_argument);
-}
-
-TEST(AdcTest, QuantizeReconstructRoundTrip) {
-  const Adc adc;
-  for (double v : {-2.5, -1.0, 0.0, 0.7, 2.49}) {
-    const double rec = adc.reconstruct(adc.quantize(v));
-    EXPECT_NEAR(rec, v, adc.config().lsb());
-  }
-}
-
-TEST(AdcTest, ClipsOutOfRange) {
-  const Adc adc;
-  EXPECT_EQ(adc.quantize(100.0), adc.config().code_max());
-  EXPECT_EQ(adc.quantize(-100.0), 0);
-}
-
-TEST(AdcTest, MonotoneCodes) {
-  const Adc adc;
-  std::int64_t prev = adc.quantize(-2.5);
-  for (double v = -2.4; v < 2.5; v += 0.1) {
-    const std::int64_t code = adc.quantize(v);
-    EXPECT_GE(code, prev);
-    prev = code;
-  }
-}
-
-TEST(AdcTest, IdealSnrFormula) {
-  AdcConfig cfg;
-  cfg.bits = 12;
-  EXPECT_NEAR(Adc(cfg).ideal_snr_db(), 74.0, 0.1);
-  cfg.bits = 16;
-  EXPECT_NEAR(Adc(cfg).ideal_snr_db(), 98.1, 0.1);
-}
-
-TEST(AdcTest, TwelveBitsPreserveEcgMorphology) {
-  // End-to-end property: the STM32's 12-bit ADC must not distort the ECG
-  // in any way that matters (error << one LSB of signal content).
-  const auto gen = synth::synthesize_ecg(std::vector<double>(10, 0.8), 250.0);
-  AdcConfig cfg;
-  cfg.bits = 12;
-  cfg.full_scale_min = -2.5;
-  cfg.full_scale_max = 2.5;
-  const Adc adc(cfg);
-  const dsp::Signal digitized = adc.digitize(gen.ecg_mv);
-  double max_err = 0.0;
-  for (std::size_t i = 0; i < digitized.size(); ++i)
-    max_err = std::max(max_err, std::abs(digitized[i] - gen.ecg_mv[i]));
-  EXPECT_LT(max_err, cfg.lsb());
-}
-
-TEST(AdcTest, RejectsBadConfig) {
-  AdcConfig cfg;
-  cfg.bits = 1;
-  EXPECT_THROW(Adc{cfg}, std::invalid_argument);
-  cfg.bits = 12;
-  cfg.full_scale_min = 2.0;
-  cfg.full_scale_max = -2.0;
-  EXPECT_THROW(Adc{cfg}, std::invalid_argument);
 }
 
 TEST(RadioTest, AirtimeScalesWithBytes) {
@@ -211,47 +146,6 @@ TEST(McuTest, RejectsBadArgs) {
   EXPECT_THROW(estimate_cpu_load(core::PipelineConfig{}, 0.0, 70.0), std::invalid_argument);
   EXPECT_THROW(estimate_cpu_load(core::PipelineConfig{}, 250.0, -1.0),
                std::invalid_argument);
-}
-
-TEST(PmuTest, FullBatteryAllowsContinuousMonitoring) {
-  const Pmu pmu;
-  const PmuDecision d = pmu.choose(1.0, 96.0);
-  EXPECT_TRUE(d.meets_requirement);
-  EXPECT_GE(d.projected_runtime_h, 96.0);
-  EXPECT_GE(d.point.quality_score, 0.9);
-}
-
-TEST(PmuTest, LowBatteryDegradesGracefully) {
-  const Pmu pmu;
-  const PmuDecision full = pmu.choose(1.0, 48.0);
-  const PmuDecision low = pmu.choose(0.10, 48.0);
-  EXPECT_LE(low.point.quality_score, full.point.quality_score);
-}
-
-TEST(PmuTest, ImpossibleRequirementFallsBackToSurvival) {
-  const Pmu pmu;
-  const PmuDecision d = pmu.choose(0.01, 1000.0);
-  EXPECT_FALSE(d.meets_requirement);
-  EXPECT_EQ(d.point.name, "survival");
-}
-
-TEST(PmuTest, OperatingPointsOrderedByQuality) {
-  const auto points = standard_operating_points();
-  ASSERT_GE(points.size(), 3u);
-  for (std::size_t i = 1; i < points.size(); ++i)
-    EXPECT_LE(points[i].quality_score, points[i - 1].quality_score);
-}
-
-TEST(PmuTest, RuntimeMonotoneInBattery) {
-  const Pmu pmu;
-  const auto p = standard_operating_points()[1];
-  EXPECT_GT(pmu.projected_runtime_h(p, 1.0), pmu.projected_runtime_h(p, 0.5));
-}
-
-TEST(PmuTest, RejectsBadArgs) {
-  EXPECT_THROW(Pmu(-1.0), std::invalid_argument);
-  const Pmu pmu;
-  EXPECT_THROW(pmu.choose(1.5, 10.0), std::invalid_argument);
 }
 
 } // namespace

@@ -38,14 +38,6 @@ TEST(TableTest, PrintContainsHeaderAndUnderline) {
   EXPECT_NE(s.find("1.5"), std::string::npos);
 }
 
-TEST(TableTest, CsvFormat) {
-  Table t({"a", "b"});
-  t.row().add(static_cast<long long>(1)).add(static_cast<long long>(2));
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "a,b\n1,2\n");
-}
-
 TEST(TableTest, DoublePrecisionControl) {
   Table t({"v"});
   t.row().add(3.14159, 2);
