@@ -53,6 +53,7 @@
 // by the plain StateReader.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -85,6 +86,15 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 /// CRC-32 (IEEE 802.3 polynomial, the zlib crc32) of `n` bytes.
 std::uint32_t checkpoint_crc32(const std::uint8_t* data, std::size_t n);
 
+/// The element types value() writes and reads: each travels as its own
+/// sizeof(T) little-endian bytes, so an array of them is its wire layout
+/// on a little-endian host (StateWriter::values, StateReader::values).
+template <typename T>
+inline constexpr bool kWireScalar =
+    std::is_same_v<T, double> || std::is_same_v<T, std::int32_t> ||
+    std::is_same_v<T, std::int64_t> || std::is_same_v<T, std::uint64_t> ||
+    std::is_same_v<T, std::uint8_t>;
+
 /// Serializes checkpoint state into the framed format above. Primitive
 /// puts append little-endian bytes to the current section; sections are
 /// opened/closed explicitly and may not nest. The magic/version header
@@ -94,11 +104,8 @@ class StateWriter {
   /// Starts a blob, reusing `buf`'s capacity (the fleet's migration path
   /// hands each session's blob buffer back and forth so steady-state
   /// migrations do not allocate once warmed up).
-  explicit StateWriter(std::vector<std::uint8_t> buf = {}) : buf_(std::move(buf)) {
-    buf_.clear();
-    u32(kCheckpointMagic);
-    u32(kCheckpointVersion);
-  }
+  explicit StateWriter(std::vector<std::uint8_t> buf = {})
+      : StateWriter(std::move(buf), /*header=*/true) {}
 
   /// A headerless writer that emits framed sections only, for appending
   /// to a stream whose magic/version header was already written (the
@@ -110,35 +117,18 @@ class StateWriter {
     return w;
   }
 
-  // -- primitives (little-endian) --
+  // -- primitives (little-endian, one store per value) --
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  /// Appends `n` doubles in wire order (LE u64 bit patterns). On a
-  /// little-endian host the in-memory array already IS the wire layout,
-  /// so this is one bulk copy — the flight recorder's per-chunk hot
-  /// path, where an element-wise loop would dominate recording cost.
-  void f64_array(const double* p, std::size_t n) {
-    if (n == 0) return;
-    if constexpr (std::endian::native == std::endian::little) {
-      const auto* raw = reinterpret_cast<const std::uint8_t*>(p);
-      buf_.insert(buf_.end(), raw, raw + n * sizeof(double));
-    } else {
-      for (std::size_t i = 0; i < n; ++i) f64(p[i]);
-    }
-  }
   void boolean(bool v) { u8(v ? 1 : 0); }
   /// Appends `n` raw bytes verbatim — the escape hatch for embedding an
   /// already-serialized blob (a nested pipeline checkpoint inside a
   /// flight-record section) without re-framing it element by element.
-  void bytes(const std::uint8_t* p, std::size_t n) { buf_.insert(buf_.end(), p, p + n); }
+  void bytes(const std::uint8_t* p, std::size_t n) { append(p, n); }
 
   // -- generic overloads, the targets the backend-templated kernels and
   //    dsp::RingBuffer write sample_t / acc_t / mark / index values
@@ -148,6 +138,20 @@ class StateWriter {
   void value(std::int64_t v) { i64(v); }
   void value(std::uint64_t v) { u64(v); }
   void value(std::uint8_t v) { u8(v); }
+  /// Appends every element of `v` as value() would, in order. On a
+  /// little-endian host the in-memory array already IS the wire layout,
+  /// so this is one bulk copy: ring contents, filter windows and the
+  /// recorder's and wire's sample chunks, where an element-wise loop
+  /// would dominate the cost of a save.
+  template <typename T>
+  void values(std::span<const T> v) {
+    static_assert(kWireScalar<T>, "StateWriter::values: unsupported type");
+    if constexpr (std::endian::native == std::endian::little) {
+      append(reinterpret_cast<const std::uint8_t*>(v.data()), v.size_bytes());
+    } else {
+      for (const T x : v) value(x);
+    }
+  }
 
   /// Opens a section with a 4-character tag ("QRSD"). The length and CRC
   /// are patched in by end_section().
@@ -189,6 +193,20 @@ class StateWriter {
       u32(kCheckpointVersion);
     }
   }
+
+  /// Appends `v`'s little-endian bytes with one store.
+  template <typename U>
+  void put(U v) {
+    std::uint8_t le[sizeof v];
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(le, &v, sizeof v);
+    } else {
+      for (std::size_t i = 0; i < sizeof v; ++i) le[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    append(le, sizeof v);
+  }
+
+  void append(const std::uint8_t* p, std::size_t n) { buf_.insert(buf_.end(), p, p + n); }
 
   static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::vector<std::uint8_t> buf_;
@@ -289,18 +307,8 @@ class StateReader {
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64() { return std::bit_cast<double>(u64()); }
-  /// Bounds-checked bulk read of `n` doubles (counterpart of
-  /// StateWriter::f64_array): one memcpy on a little-endian host.
-  void f64_array(double* out, std::size_t n) {
-    if (n == 0) return;
-    if constexpr (std::endian::native == std::endian::little) {
-      if (const std::uint8_t* p = take_bytes(n * sizeof(double))) {
-        std::memcpy(out, p, n * sizeof(double));
-        return;
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) out[i] = f64();  // zeros once refused
-  }
+  /// values() over the `n` doubles at `out`.
+  void f64_array(double* out, std::size_t n) { values(std::span<double>(out, n)); }
   bool boolean() {
     const std::uint8_t v = u8();
     if (v > 1) fail("boolean byte is neither 0 nor 1");
@@ -324,6 +332,28 @@ class StateReader {
     else if constexpr (std::is_same_v<T, std::uint64_t>) return u64();
     else if constexpr (std::is_same_v<T, std::uint8_t>) return u8();
     else static_assert(sizeof(T) == 0, "StateReader::value: unsupported type");
+  }
+
+  /// Fills `out` with the next out.size() values, as value<T>() would
+  /// read them one by one (the counterpart of StateWriter::values): one
+  /// bounds check for the whole span, then one memcpy on a little-endian
+  /// host. A refused read zero-fills `out`.
+  template <typename T>
+  void values(std::span<T> out) {
+    static_assert(kWireScalar<T>, "StateReader::values: unsupported type");
+    if (out.empty()) return;
+    const std::uint8_t* p = take_bytes(out.size_bytes());
+    if (p == nullptr) {
+      std::fill(out.begin(), out.end(), T{});
+    } else if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out.data(), p, out.size_bytes());
+    } else {
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        const std::uint64_t bits = le(p + i * sizeof(T), sizeof(T));
+        if constexpr (std::is_same_v<T, double>) out[i] = std::bit_cast<double>(bits);
+        else out[i] = static_cast<T>(bits);
+      }
+    }
   }
 
   /// Bytes left in the current section — the bound loaders use to reject
@@ -408,6 +438,9 @@ class LaneStateWriter {
 
   void value(const dsp::LaneVec<W>& v) {
     for (std::size_t l = 0; l < W; ++l) lanes_[l].value(v.lane(l));
+  }
+  void values(std::span<const dsp::LaneVec<W>> v) {
+    for (const dsp::LaneVec<W>& x : v) value(x);
   }
 
   void begin_section(const char (&tag)[5]) {

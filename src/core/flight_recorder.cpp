@@ -112,8 +112,8 @@ void FlightRecorder::record_chunk(dsp::SignalView ecg_mv, dsp::SignalView z_ohm,
   w.begin_section("CHNK");
   w.u64(chunks_);
   w.u32(static_cast<std::uint32_t>(ecg_mv.size()));
-  w.f64_array(ecg_mv.data(), ecg_mv.size());
-  w.f64_array(z_ohm.data(), z_ohm.size());
+  w.values(ecg_mv);
+  w.values(z_ohm);
   w.u32(static_cast<std::uint32_t>(beat_bytes_.size()));
   w.bytes(reinterpret_cast<const std::uint8_t*>(beat_bytes_.data()),
           beat_bytes_.size());
@@ -242,8 +242,8 @@ void FlightReader::read_section(const char (&tag)[5], Event& ev) {
       return r_.fail("flight record: chunk sample count overruns its section");
     ev.ecg.resize(n);
     ev.z.resize(n);
-    r_.f64_array(ev.ecg.data(), n);
-    r_.f64_array(ev.z.data(), n);
+    r_.values(std::span(ev.ecg));
+    r_.values(std::span(ev.z));
     const std::uint32_t beat_len = r_.u32();
     if (beat_len > r_.section_remaining())
       return r_.fail("flight record: beat bytes overrun their section");

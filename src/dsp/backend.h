@@ -129,9 +129,18 @@ struct Q31Backend {
   }
 
   // -- conversions --
-  /// Real value in [-1, 1) of stage full scale -> Q1.31 (saturating).
+  /// Real value in [-1, 1) of stage full scale -> Q1.31, rounded half
+  /// away from zero (std::llround's rule) and saturating. Out-of-range
+  /// input saturates before any conversion, so every finite value maps
+  /// exactly (llround itself overflows past 2^63); NaN maps to kMin.
   static sample_t from_real(double v) {
-    return saturate(static_cast<acc_t>(std::llround(v * kOne)));
+    const double s = v * kOne;
+    if (!(s > static_cast<double>(kMin))) return static_cast<sample_t>(kMin);
+    if (s >= static_cast<double>(kMax)) return static_cast<sample_t>(kMax);
+    // |s| < 2^31: the truncation and the fraction s - t are both exact.
+    const auto t = static_cast<acc_t>(s);
+    const double f = s - static_cast<double>(t);
+    return static_cast<sample_t>(t + (f >= 0.5) - (f <= -0.5));
   }
   static double to_real(sample_t v) { return static_cast<double>(v) / kOne; }
   /// Coefficient in [-2, 2) -> Q2.30. Throws outside the representable

@@ -174,37 +174,10 @@ ICGKIT_AVX512_TARGET inline void wide_pass(const double* tap, std::size_t len, c
   _mm512_mask_storeu_pd(dst + 8 * (V - 1), last, acc[V - 1]);
 }
 
-// The Q31 pass: each sample widens to a 64-bit lane, vpmuldq forms the
-// exact Q3.61 product with the tap, vpsraq brings it to Q1.31 and vpaddq
-// accumulates; vpmovsqd narrows with signed saturation. The zero-masking
-// forms under an all-lanes mask are the plain instructions; GCC 12's
-// unmasked ones read an undefined source it warns about.
-template <int V>
-ICGKIT_AVX512_TARGET inline void wide_pass(const std::int32_t* tap, std::size_t len,
-                                           const std::int32_t* x, std::int32_t* dst,
-                                           __mmask8 last) {
-  __m512i acc[V];
-  for (int v = 0; v < V; ++v) acc[v] = _mm512_setzero_si512();
-  for (std::size_t j = 0; j < len; ++j) {
-    const __m512i c = _mm512_set1_epi32(tap[j]);  // vpmuldq reads each lane's low half
-    const std::int32_t* p = x - j;
-#pragma GCC unroll 4
-    for (int v = 0; v < V; ++v) {
-      const __m256i s = v + 1 < V ? _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 8 * v))
-                                  : _mm256_maskz_loadu_epi32(last, p + 8 * v);
-      const __m512i prod = _mm512_maskz_mul_epi32(0xFF, c, _mm512_maskz_cvtepi32_epi64(0xFF, s));
-      acc[v] = _mm512_add_epi64(acc[v], _mm512_maskz_srai_epi64(0xFF, prod, 30));
-    }
-  }
-  for (int v = 0; v + 1 < V; ++v) _mm512_mask_cvtsepi64_storeu_epi32(dst + 8 * v, 0xFF, acc[v]);
-  _mm512_mask_cvtsepi64_storeu_epi32(dst + 8 * (V - 1), last, acc[V - 1]);
-}
-
 // Full passes of 32 outputs, then one pass over the remaining 1..31
 // with its last register masked.
-template <typename T>
-ICGKIT_AVX512_TARGET void convolve_runs(const T* tap, std::size_t len, const T* newest,
-                                        std::size_t n, T* dst) {
+ICGKIT_AVX512_TARGET void tap_order_runs(const double* tap, std::size_t len, const double* newest,
+                                         std::size_t n, double* dst) {
   std::size_t k = 0;
   for (; k + 32 <= n; k += 32) wide_pass<4>(tap, len, newest + k, dst + k, 0xFF);
   const std::size_t rest = n - k;
@@ -218,16 +191,102 @@ ICGKIT_AVX512_TARGET void convolve_runs(const T* tap, std::size_t len, const T* 
   }
 }
 
+// Eight taps t[0..8) reversed into the low halves of the 64-bit lanes:
+// lane m holds t[7 - m]. `live` keeps the taps inside the kernel; the
+// others read as zero.
+ICGKIT_AVX512_TARGET inline __m512i reversed_taps(const std::int32_t* t, __mmask16 live) {
+  const __m512i reverse = _mm512_set_epi32(0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7);
+  return _mm512_maskz_permutexvar_epi32(0xFFFF, reverse, _mm512_maskz_loadu_epi32(live, t));
+}
+
+// Lane m of the result is (c[m] * s[m]) >> 30 for eight samples s:
+// vpmuldq forms the exact Q3.61 product and vpsraq brings it to Q1.31,
+// which are Q31Backend::mac's terms. The zero-masking forms under an
+// all-lanes mask are the plain instructions; GCC 12's unmasked ones read
+// an undefined source it warns about.
+ICGKIT_AVX512_TARGET inline __m512i terms(__m512i c, __m256i s) {
+  const __m512i wide = _mm512_maskz_cvtepi32_epi64(0xFF, s);
+  return _mm512_maskz_srai_epi64(0xFF, _mm512_maskz_mul_epi32(0xFF, c, wide), 30);
+}
+
+// Lane k of the result is the sum of the eight 64-bit lanes of the k-th
+// argument: pairwise unpacks, then two rounds of 128-bit shuffles, each
+// level adding halves.
+ICGKIT_AVX512_TARGET inline __m512i pair_sums(__m512i x, __m512i y) {
+  return _mm512_add_epi64(_mm512_maskz_unpacklo_epi64(0xFF, x, y),
+                          _mm512_maskz_unpackhi_epi64(0xFF, x, y));
+}
+ICGKIT_AVX512_TARGET inline __m512i chunk_sums(__m512i x, __m512i y) {
+  return _mm512_add_epi64(_mm512_maskz_shuffle_i64x2(0xFF, x, y, 0x88),
+                          _mm512_maskz_shuffle_i64x2(0xFF, x, y, 0xDD));
+}
+ICGKIT_AVX512_TARGET inline __m512i sum_lanes(__m512i a0, __m512i a1, __m512i a2, __m512i a3,
+                                              __m512i a4, __m512i a5, __m512i a6, __m512i a7) {
+  return chunk_sums(chunk_sums(pair_sums(a0, a1), pair_sums(a2, a3)),
+                    chunk_sums(pair_sums(a4, a5), pair_sums(a6, a7)));
+}
+
+// O <= 8 consecutive Q31 outputs, dst[o] = sum_j (tap[j] * x[o - j]) >> 30,
+// as dot products over blocks of eight taps. Each block's taps load and
+// reverse once for all O outputs, so lane m pairs tap j + 7 - m with
+// sample x[o - j - 7 + m] and each output reads its eight samples with
+// one contiguous load. The first block (j = 0) holds the r = len mod 8
+// taps that do not fill one; its lanes 8 - r..7 expand-load the r newest
+// samples, and the others stay zero. So no tap past tap[len - 1] and no
+// sample before x[o - len + 1] or past x[O - 1] is read. One transposing
+// horizontal add sums every output's lanes, and vpmovsqd's signed
+// saturation is Q31Backend::saturate.
+template <int O>
+ICGKIT_AVX512_TARGET inline void dot_pass(const std::int32_t* tap, std::size_t len,
+                                          const std::int32_t* x, std::int32_t* dst) {
+  const std::size_t r = len % 8;
+  const __m512i first = reversed_taps(tap, static_cast<__mmask16>((1u << r) - 1));
+  const auto live = static_cast<__mmask8>(0xFFu << (8 - r));
+  __m512i acc[8];
+#pragma GCC unroll 8
+  for (int o = 0; o < 8; ++o)
+    acc[o] = o < O ? terms(first, _mm256_maskz_expandloadu_epi32(live, x + o + 1 - r))
+                   : _mm512_setzero_si512();
+  for (std::size_t j = r; j < len; j += 8) {
+    const __m512i c = reversed_taps(tap + j, 0xFF);
+#pragma GCC unroll 8
+    for (int o = 0; o < O; ++o) {
+      const auto* p = reinterpret_cast<const __m256i*>(x + o - j - 7);
+      acc[o] = _mm512_add_epi64(acc[o], terms(c, _mm256_loadu_si256(p)));
+    }
+  }
+  _mm512_mask_cvtsepi64_storeu_epi32(
+      dst, static_cast<__mmask8>((1u << O) - 1),
+      sum_lanes(acc[0], acc[1], acc[2], acc[3], acc[4], acc[5], acc[6], acc[7]));
+}
+
+// Passes of eight outputs, then one over the remaining 1..7.
+ICGKIT_AVX512_TARGET void dot_runs(const std::int32_t* tap, std::size_t len,
+                                   const std::int32_t* newest, std::size_t n, std::int32_t* dst) {
+  std::size_t k = 0;
+  for (; k + 8 <= n; k += 8) dot_pass<8>(tap, len, newest + k, dst + k);
+  switch (n - k) {
+    case 1: return dot_pass<1>(tap, len, newest + k, dst + k);
+    case 2: return dot_pass<2>(tap, len, newest + k, dst + k);
+    case 3: return dot_pass<3>(tap, len, newest + k, dst + k);
+    case 4: return dot_pass<4>(tap, len, newest + k, dst + k);
+    case 5: return dot_pass<5>(tap, len, newest + k, dst + k);
+    case 6: return dot_pass<6>(tap, len, newest + k, dst + k);
+    case 7: return dot_pass<7>(tap, len, newest + k, dst + k);
+    default: return;
+  }
+}
+
 } // namespace
 
 namespace detail {
 void convolve_wide(const double* tap, std::size_t len, const double* newest, std::size_t n,
                    double* dst) {
-  convolve_runs(tap, len, newest, n, dst);
+  tap_order_runs(tap, len, newest, n, dst);
 }
 void convolve_wide(const std::int32_t* tap, std::size_t len, const std::int32_t* newest,
                    std::size_t n, std::int32_t* dst) {
-  convolve_runs(tap, len, newest, n, dst);
+  dot_runs(tap, len, newest, n, dst);
 }
 } // namespace detail
 #endif  // ICGKIT_FIR_AVX512

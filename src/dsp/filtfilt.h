@@ -86,10 +86,10 @@ FirCoefficients zero_phase_sos_kernel(const SosFilter& filter, double tol = 1e-6
 bool wide_fir_active();
 
 namespace detail {
-/// dst[k] = sum_j tap[j] * newest[k - j] (j = 0..len-1) for k < n, each
-/// output accumulated in its own lane in tap order and narrowed like
-/// B::narrow; reads no sample past newest[n - 1]. Requires
-/// wide_fir_active().
+/// dst[k] = sum_j tap[j] * newest[k - j] (j = 0..len-1) for k < n,
+/// narrowed like B::narrow: for double, accumulated in tap order; for
+/// Q31, the same exact integer sum in any order. Reads no sample past
+/// newest[n - 1]. Requires wide_fir_active().
 void convolve_wide(const double* tap, std::size_t len, const double* newest, std::size_t n,
                    double* dst);
 void convolve_wide(const std::int32_t* tap, std::size_t len, const std::int32_t* newest,
@@ -126,19 +126,32 @@ constexpr bool wide_fir_active() { return false; }
 ///
 /// On a host whose CPU has AVX-512 (F and VL), the double and Q31 chunk
 /// feeds hand each whole run to detail::convolve_wide instead, chosen
-/// once per process (wide_fir_active()). It keeps eight outputs per
-/// 512-bit register, 32 per pass, with the same per-output contract:
-/// each lane starts at zero and adds tap j's product for j = 0..len-1.
-/// Double multiplies and then adds (vmulpd, vaddpd) and uses no FMA
-/// intrinsic, which -ffp-contract=off would not cover; both paths round
-/// under the same MXCSR, so DenormalGuard's FTZ/DAZ applies to them
-/// alike. Q31 forms each product with vpmuldq, shifts it by vpsraq 30 and
-/// adds it with vpaddq, which are Q31Backend::mac; vpmovsqd's signed
-/// saturation is Q31Backend::saturate. A run's last n mod 8 outputs use
-/// masked loads and stores, so the device's 10-sample chunks stay wide
-/// and no sample past the written history is read. The firmware archive
-/// compiles the wide kernel and its CPU probe out, and no knob forces
-/// either path: the bytes are the same, only the speed differs.
+/// once per process (wide_fir_active()). The two backends take different
+/// kernels because only one of them may regroup its sum.
+///
+/// Double keeps eight outputs per 512-bit register, 32 per pass, with the
+/// per-output contract above: each lane starts at zero and adds tap j's
+/// product for j = 0..len-1, because a floating-point sum's bytes depend
+/// on its order. It multiplies and then adds (vmulpd, vaddpd) and uses no
+/// FMA intrinsic, which -ffp-contract=off would not cover; both paths
+/// round under the same MXCSR, so DenormalGuard's FTZ/DAZ applies to them
+/// alike. A run's last n mod 8 outputs use masked loads and stores, so no
+/// sample past the written history is read.
+///
+/// Q31 computes each output as a dot product instead: eight taps per
+/// 512-bit register, up to eight outputs per pass sharing each tap block,
+/// then one horizontal add per output. Its grouping is free. Every term
+/// (tap * x) >> 30 of Q31Backend::mac is an exact integer formed by
+/// vpmuldq and vpsraq, and integer addition is associative. The int64 sum
+/// cannot overflow either: each term is at most 2^32 in magnitude, so
+/// only a kernel of 2^31 taps could. Any order of vpaddq therefore gives the
+/// scalar tap-order sum, and vpmovsqd's signed saturation is
+/// Q31Backend::saturate. Only the outputs a run has are computed, so the
+/// device's 10-sample chunks waste no lanes.
+///
+/// The firmware archive compiles the wide kernels and their CPU probe
+/// out, and no knob forces either path: the bytes are the same, only the
+/// speed differs.
 template <typename B>
 class BasicStreamingZeroPhaseFir {
  public:
@@ -257,19 +270,21 @@ class BasicStreamingZeroPhaseFir {
     // The wire layout predates the linear history: it carries one
     // kernel-length window in the slot order of a ring written at slot
     // fed_ % len, so the head slot holds the oldest sample and v1 blobs
-    // stay byte-identical.
+    // stay byte-identical. Slots [0, head) hold the newest head samples,
+    // slots [head, len) the oldest len - head: the window's two halves,
+    // each one values() call.
     const std::size_t len = kernel_.taps.size();
     const std::size_t head = fed_ % len;
     const sample_t* window = line_.data() + pos_ - len;  // oldest first
     w.u64(len);
-    for (std::size_t i = 0; i < len; ++i)
-      w.value(window[i < head ? i + len - head : i - head]);
+    w.values(std::span<const sample_t>(window + len - head, head));
+    w.values(std::span<const sample_t>(window, len - head));
     w.u64(head);
     w.u64(fed_);
     w.u64(raw_count_);
     w.u64(warmup_.size());
-    for (const sample_t v : warmup_) w.value(v);
-    for (const sample_t v : tail_) w.value(v);
+    w.values(std::span<const sample_t>(warmup_));
+    w.values(std::span<const sample_t>(tail_));
     w.boolean(warm_);
   }
 
@@ -280,11 +295,11 @@ class BasicStreamingZeroPhaseFir {
     // The slots land in the upper half; once the head names the oldest
     // slot they are rotated into the window [0, len).
     sample_t* slots = line_.data() + len;
-    for (std::size_t i = 0; i < len; ++i) slots[i] = r.template value<sample_t>();
+    r.values(std::span<sample_t>(slots, len));
     const std::size_t head = r.u64();
     if (head >= len) return r.fail("StreamingZeroPhaseFir: head index out of range");
-    for (std::size_t k = 0; k < len; ++k)
-      line_[k] = slots[k < len - head ? head + k : head + k - len];
+    std::copy_n(slots + head, len - head, line_.data());
+    std::copy_n(slots, head, line_.data() + len - head);
     pos_ = len;
     fed_ = r.u64();
     raw_count_ = r.u64();
@@ -294,7 +309,7 @@ class BasicStreamingZeroPhaseFir {
     warmup_.reserve(warm_n);
     for (std::size_t i = 0; i < warm_n; ++i)
       warmup_.push_back(r.template value<sample_t>());
-    for (sample_t& v : tail_) v = r.template value<sample_t>();
+    r.values(std::span<sample_t>(tail_));
     warm_ = r.boolean();
   }
 

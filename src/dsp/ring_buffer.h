@@ -110,24 +110,30 @@ class RingBuffer {
   /// Serializes capacity + contents (oldest-to-newest) for
   /// core::Checkpoint round trips. Duck-typed like the kernel
   /// save_state members, so this layer never depends on core; usable
-  /// for any T the writer has a value() overload for (samples,
-  /// accumulators, u8 marks, u64 indices). `what` names the owning
-  /// ring in mismatch errors.
+  /// for any T the writer has a values() overload for (samples,
+  /// accumulators, u8 marks, u64 indices). The contents go out as the
+  /// two segments() spans, so a writer can copy each in bulk. `what`
+  /// names the owning ring in mismatch errors.
   template <typename W>
   void save_state(W& w) const {
     w.u64(buf_.size());
     w.u64(size_);
-    for (std::size_t i = 0; i < size_; ++i) w.value(at(i));
+    const Segments s = segments(0, size_);
+    w.values(s.first);
+    w.values(s.second);
   }
 
+  /// Reads the contents into slots [0, n) in one values() call: the
+  /// state n push()es into a cleared ring leave.
   template <typename R>
   void load_state(R& r, const char* what) {
     if (r.u64() != buf_.size())
       return r.fail(std::string(what) + ": ring capacity mismatch");
     const std::size_t n = r.u64();
     if (n > buf_.size()) return r.fail(std::string(what) + ": ring overflow");
-    clear();
-    for (std::size_t i = 0; i < n; ++i) push(r.template value<T>());
+    head_ = 0;
+    size_ = n;
+    r.values(std::span<T>(buf_.data(), n));
   }
 
  private:

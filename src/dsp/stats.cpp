@@ -1,6 +1,8 @@
 #include "dsp/stats.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cmath>
 #include <stdexcept>
 
@@ -9,9 +11,20 @@
 namespace icgkit::dsp {
 
 bool all_finite(SignalView x) {
-  bool ok = true;
-  for (const double v : x) ok &= std::isfinite(v);
-  return ok;
+  // A double is finite unless its exponent field is all ones, and adding
+  // one at the field's lowest bit carries exactly such a field into bit
+  // 63. OR-ing that sum over four independent accumulators is integer
+  // lane arithmetic the compiler can vectorize.
+  constexpr std::uint64_t kExponent = 0x7FF0000000000000ull;
+  constexpr std::uint64_t kUnit = 1ull << 52;
+  const auto carry = [](double v) { return (std::bit_cast<std::uint64_t>(v) & kExponent) + kUnit; };
+  std::uint64_t acc[4] = {};
+  std::size_t i = 0;
+  for (; i + 4 <= x.size(); i += 4)
+    for (std::size_t k = 0; k < 4; ++k) acc[k] |= carry(x[i + k]);
+  std::uint64_t all = acc[0] | acc[1] | acc[2] | acc[3];
+  for (; i < x.size(); ++i) all |= carry(x[i]);
+  return (all >> 63) == 0;
 }
 
 double mean(SignalView x) {

@@ -112,8 +112,8 @@ void FleetClient::send_chunk(std::uint32_t stream_id, std::span<const double> ec
   core::StateWriter& w = rb_.begin(kTagChunk);
   w.u32(stream_id);
   w.u32(static_cast<std::uint32_t>(ecg.size()));
-  w.f64_array(ecg.data(), ecg.size());
-  w.f64_array(z.data(), z.size());
+  w.values(ecg);
+  w.values(z);
   rb_.finish(sendbuf_);
   send_all(sendbuf_);
 }

@@ -395,8 +395,8 @@ void FleetServer::handle_chunk(Connection& c, core::StateReader& r) {
                     std::to_string(cfg_.fleet.max_chunk));
   ecg_scratch_.resize(n);
   z_scratch_.resize(n);
-  r.f64_array(ecg_scratch_.data(), n);
-  r.f64_array(z_scratch_.data(), n);
+  r.values(std::span(ecg_scratch_));
+  r.values(std::span(z_scratch_));
   end_record(r);
   Stream* st = find_stream(c, stream_id);
   if (st == nullptr) {

@@ -23,8 +23,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <span>
 #include <sstream>
@@ -172,6 +175,80 @@ TEST(CheckpointCrcTest, AllDispatchPathsMatchTheBitwiseReference) {
   for (std::size_t len = 0; len <= buf.size(); ++len)
     ASSERT_EQ(core::checkpoint_crc32(buf.data(), len), bitwise(buf.data(), len))
         << "length " << len;
+}
+
+// ---------------------------------------------------------------------------
+// Bulk arrays: values() is value() element by element
+// ---------------------------------------------------------------------------
+
+template <typename T>
+void write_both(StateWriter& bulk, StateWriter& each, const std::vector<T>& v) {
+  bulk.values(std::span<const T>(v));
+  for (const T x : v) each.value(x);
+}
+
+template <typename T>
+void expect_reads_back(StateReader& r, const std::vector<T>& want) {
+  std::vector<T> got(want.size());
+  r.values(std::span<T>(got));
+  EXPECT_TRUE(want.empty() ||
+              std::memcmp(got.data(), want.data(), want.size() * sizeof(T)) == 0);
+}
+
+TEST(CheckpointBulkTest, ValuesWriteAndReadTheElementwiseBytes) {
+  const std::vector<double> f64 = {1.5, -0.0, std::numeric_limits<double>::denorm_min(),
+                                   std::numeric_limits<double>::max(),
+                                   -std::numeric_limits<double>::quiet_NaN()};
+  const std::vector<std::int32_t> i32 = {INT32_MIN, -1, 0, 1, INT32_MAX};
+  const std::vector<std::int64_t> i64 = {INT64_MIN, -2, 3, INT64_MAX};
+  const std::vector<std::uint64_t> u64 = {0, 1, 0x0123456789ABCDEFull, UINT64_MAX};
+  const std::vector<std::uint8_t> u8 = {0, 1, 0x7F, 0xFF, 2};
+  const std::vector<double> none;
+  StateWriter bulk, each;
+  bulk.begin_section("BULK");
+  each.begin_section("BULK");
+  write_both(bulk, each, f64);
+  write_both(bulk, each, i32);
+  write_both(bulk, each, none);
+  write_both(bulk, each, i64);
+  write_both(bulk, each, u64);
+  write_both(bulk, each, u8);
+  bulk.end_section();
+  each.end_section();
+  const std::vector<std::uint8_t> blob = bulk.take();
+  EXPECT_EQ(blob, each.take());
+
+  StateReader r(blob);
+  r.begin_section("BULK");
+  expect_reads_back(r, f64);
+  expect_reads_back(r, i32);
+  expect_reads_back(r, none);
+  expect_reads_back(r, i64);
+  expect_reads_back(r, u64);
+  expect_reads_back(r, u8);
+  r.end_section();
+  EXPECT_TRUE(r.at_end()) << r.error();
+}
+
+// A span longer than its section is refused as a whole: nothing of it is
+// read, the array comes back zero-filled and the section's frame stays
+// the only authority on its length.
+TEST(CheckpointBulkTest, OverlongValuesReadIsRefusedAndZeroFills) {
+  StateWriter w;
+  w.begin_section("BULK");
+  w.i32(7);
+  w.i32(8);
+  w.i32(9);
+  w.end_section();
+  const std::vector<std::uint8_t> blob = w.take();
+  StateReader r(blob);
+  r.begin_section("BULK");
+  EXPECT_EQ(r.i32(), 7);
+  std::vector<std::int32_t> out(3, 5);
+  r.values(std::span<std::int32_t>(out));
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), "read past end of section");
+  EXPECT_EQ(out, (std::vector<std::int32_t>{0, 0, 0}));
 }
 
 // ---------------------------------------------------------------------------
@@ -683,6 +760,25 @@ TEST(CheckpointFixtureTest, Version1GoldenBlobsReadBitExactly) {
       << "missing fixture expectations (regenerate with tools/make_checkpoint_fixture)";
   check_fixture<StreamingBeatPipeline>(dir + "/checkpoint_v1_double.bin", dbl, "double");
   check_fixture<FixedStreamingBeatPipeline>(dir + "/checkpoint_v1_q31.bin", q31, "q31");
+}
+
+// The writer is pinned as well as the reader: a committed blob restored
+// into a fresh engine saves back to exactly its own bytes.
+template <typename Pipeline>
+void expect_saves_back(const std::string& bin_path) {
+  const std::vector<std::uint8_t> blob = read_blob(bin_path);
+  ASSERT_FALSE(blob.empty()) << "missing fixture " << bin_path;
+  Pipeline p(kFs);
+  p.restore(blob);
+  const std::vector<std::uint8_t> saved = p.checkpoint();
+  ASSERT_EQ(saved.size(), blob.size()) << bin_path;
+  EXPECT_TRUE(saved == blob) << bin_path;
+}
+
+TEST(CheckpointFixtureTest, Version1GoldenBlobsSaveBackByteForByte) {
+  const std::string dir = ICGKIT_TEST_DATA_DIR;
+  expect_saves_back<StreamingBeatPipeline>(dir + "/checkpoint_v1_double.bin");
+  expect_saves_back<FixedStreamingBeatPipeline>(dir + "/checkpoint_v1_q31.bin");
 }
 
 TEST(CheckpointFixtureTest, CorruptedGoldenBlobIsRejected) {

@@ -47,6 +47,31 @@ TEST(Q31BackendTest, ConversionsRoundTripAndSaturate) {
   EXPECT_EQ(Q31Backend::from_real(-2.0), std::numeric_limits<std::int32_t>::min());
 }
 
+// Finite input of any size saturates at the rail of its sign; inside
+// the rails from_real is std::llround of v * 2^31, ties away from zero.
+// llround itself overflows past 2^63, which once sent 4.3e9 to the
+// negative rail.
+TEST(Q31BackendTest, FiniteOutOfRangeInputSaturatesAtItsOwnRail) {
+  constexpr auto kMax = std::numeric_limits<std::int32_t>::max();
+  constexpr auto kMin = std::numeric_limits<std::int32_t>::min();
+  constexpr double kDblMax = std::numeric_limits<double>::max();
+  for (const double v : {1.0, 1.5, 5e9, 1e300, kDblMax}) {
+    EXPECT_EQ(Q31Backend::from_real(v), kMax) << v;
+    EXPECT_EQ(Q31Backend::from_real(-v), kMin) << -v;
+  }
+  const auto reference = [](double v) {
+    return Q31Backend::saturate(static_cast<std::int64_t>(std::llround(v * Q31Backend::kOne)));
+  };
+  const double one = Q31Backend::kOne;
+  for (const double s : {0.5, 1.5, 2.5, 0.49999999999999994, 1e-300, 12345.5, 2147483646.5,
+                         2147483646.49999, 2147483647.0, 2147483647.5, 2147483648.0}) {
+    EXPECT_EQ(Q31Backend::from_real(s / one), reference(s / one)) << s;
+    EXPECT_EQ(Q31Backend::from_real(-s / one), reference(-s / one)) << -s;
+  }
+  const Signal tone = test_tone(4096, 0.999);
+  for (const double v : tone) ASSERT_EQ(Q31Backend::from_real(v), reference(v)) << v;
+}
+
 TEST(Q31BackendTest, CoefficientRangeEnforced) {
   EXPECT_NO_THROW(Q31Backend::coeff(1.9999));
   EXPECT_NO_THROW(Q31Backend::coeff(-2.0));

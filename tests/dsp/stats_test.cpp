@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 namespace icgkit::dsp {
 namespace {
@@ -20,6 +23,39 @@ TEST(StatsTest, EmptyAndSingletonAreSafe) {
   EXPECT_DOUBLE_EQ(variance(Signal{5.0}), 0.0);
   EXPECT_DOUBLE_EQ(rms(Signal{}), 0.0);
   EXPECT_DOUBLE_EQ(median(Signal{}), 0.0);
+}
+
+// Every special double at every position of chunks of 1..17 samples
+// (each position mod 8, the four-sample groups and the scalar tail):
+// NaN of several payloads and both signs and +-Inf are refused; +-DBL_MAX,
+// subnormals and signed zeros are finite.
+TEST(StatsTest, AllFiniteFindsEveryNonFiniteAtEveryPosition) {
+  using L = std::numeric_limits<double>;
+  const double refused[] = {L::quiet_NaN(), -L::quiet_NaN(), L::signaling_NaN(),
+                            std::bit_cast<double>(std::uint64_t{0x7FF0000000000001}),
+                            std::bit_cast<double>(std::uint64_t{0xFFFFFFFFFFFFFFFF}),
+                            std::bit_cast<double>(std::uint64_t{0x7FF8DEADBEEF0000}),
+                            L::infinity(), -L::infinity()};
+  const double finite[] = {L::max(), -L::max(), L::denorm_min(), -L::denorm_min(),
+                           std::bit_cast<double>(std::uint64_t{0x000FFFFFFFFFFFFF}),
+                           L::min(), 0.0, -0.0, 1.0};
+  EXPECT_TRUE(all_finite(Signal{}));
+  for (std::size_t n = 1; n <= 17; ++n) {
+    Signal x(n, 0.25);
+    EXPECT_TRUE(all_finite(x)) << n;
+    for (std::size_t at = 0; at < n; ++at) {
+      for (const double v : refused) {
+        x[at] = v;
+        EXPECT_FALSE(all_finite(x)) << "n " << n << " at " << at << " bits " << std::hex
+                                    << std::bit_cast<std::uint64_t>(v);
+      }
+      for (const double v : finite) {
+        x[at] = v;
+        EXPECT_TRUE(all_finite(x)) << "n " << n << " at " << at << " value " << v;
+      }
+      x[at] = 0.25;
+    }
+  }
 }
 
 TEST(StatsTest, Rms) {

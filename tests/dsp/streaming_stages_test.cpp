@@ -262,6 +262,10 @@ struct RawState {
     const auto* p = reinterpret_cast<const unsigned char*>(&v);
     bytes.insert(bytes.end(), p, p + sizeof v);
   }
+  template <typename T>
+  void values(std::span<const T> v) {
+    for (const T& x : v) value(x);
+  }
   void u64(std::uint64_t v) { value(v); }
   void boolean(bool v) { value(v); }
 
@@ -271,6 +275,10 @@ struct RawState {
     std::memcpy(&v, bytes.data() + at, sizeof v);
     at += sizeof v;
     return v;
+  }
+  template <typename T>
+  void values(std::span<T> out) {
+    for (T& v : out) v = value<T>();
   }
   std::uint64_t u64() { return value<std::uint64_t>(); }
   bool boolean() { return value<bool>(); }
@@ -292,6 +300,30 @@ BasicStreamingZeroPhaseFir<B> restored(const FirCoefficients& kernel,
   f.load_state(r);
   EXPECT_EQ(r.at, r.bytes.size());
   return f;
+}
+
+// The 65-tap ECG kernel with every mirrored pair moved onto a Q2.30
+// rounding boundary, 2^-42 above it on the left and 2^-42 below it on
+// the right: symmetric to 2^-41, far inside the constructor's 1e-9
+// tolerance, yet every pair quantizes to neighbouring Q31 taps, so the
+// wide kernel cannot lean on tap symmetry.
+FirCoefficients straddling_kernel() {
+  FirCoefficients k = core::ecg_cleaner_fir_kernel(250.0, {});
+  const std::size_t len = k.taps.size();
+  for (std::size_t i = 0; i < len / 2; ++i) {
+    const double boundary = (std::floor(k.taps[i] * 0x1p30) + 0.5) * 0x1p-30;
+    k.taps[i] = boundary + 0x1p-42;
+    k.taps[len - 1 - i] = boundary - 0x1p-42;
+  }
+  return k;
+}
+
+TEST(StreamingZeroPhaseFirTest, StraddlingKernelQuantizesAsymmetrically) {
+  const FirCoefficients k = straddling_kernel();
+  EXPECT_NO_THROW(StreamingZeroPhaseFir{k});
+  const std::size_t len = k.taps.size();
+  for (std::size_t i = 0; i < len / 2; ++i)
+    EXPECT_EQ(Q31Backend::coeff(k.taps[i]), Q31Backend::coeff(k.taps[len - 1 - i]) + 1) << i;
 }
 
 // Every chunk length from 1 to 17 (the device's 10 among them) runs
@@ -318,6 +350,8 @@ TYPED_TEST(StreamingZeroPhaseFirTest, BlockedChunksMatchOneSampleFeed) {
       {FirCoefficients{{0.9, 1.9, 0.9}}, Input::Rails},
       {FirCoefficients{Signal(49, 0.1)}, Input::Rails},
       {core::ecg_cleaner_fir_kernel(250.0, {}), Input::Tiny},
+      {straddling_kernel(), Input::Noise},
+      {straddling_kernel(), Input::Rails},
   };
   std::vector<std::size_t> chunks(17);
   std::iota(chunks.begin(), chunks.end(), std::size_t{1});
